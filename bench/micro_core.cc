@@ -1,8 +1,9 @@
 // Micro-benchmarks of the DCWS hot paths: LDG tuple retrieval (the
 // paper's "hash table ... necessary for each request"), Algorithm 1
 // selection, the ~migrate naming codec, the piggyback load-header
-// codec, whole-request serving through core::Server (cached and
-// regenerating), and the event-journal append.
+// codec, whole-request serving through core::Server (cached,
+// regenerating, and stored documents up to the socket write), and the
+// event-journal append.
 //
 // CI runs this binary and diffs the result against the committed
 // results/BENCH_micro_core.json via tools/check_perf.py; ratios are
@@ -197,6 +198,41 @@ void BM_ServeCachedDocument(benchmark::State& state) {
   state.SetLabel("cached rewrite hot path (perf-gated)");
 }
 BENCHMARK(BM_ServeCachedDocument);
+
+// A stored document served up to the socket: HandleRequest, head
+// serialization and the entity view the TCP host hands to its vectored
+// write (no socket).  The entity is shared with the store, so the cost
+// should not grow with the document: compare a ~2.5 KB LOD page with a
+// 2 MB Sequoia-sized raster.
+void BM_ServeStoredDocument(benchmark::State& state, std::string path,
+                            size_t raster_bytes) {
+  core::Server& server = BenchServer();
+  NullPeers peers;
+  if (raster_bytes > 0) {
+    storage::Document raster;
+    raster.path = path;
+    raster.content = std::string(raster_bytes, 'R');
+    Status put = server.PutDocument(std::move(raster));
+    benchmark::DoNotOptimize(put);
+  }
+  http::Request request;
+  request.method = "GET";
+  request.target = path;
+  size_t entity_bytes = 0;
+  for (auto _ : state) {
+    http::Response response = server.HandleRequest(request, &peers);
+    std::string head = response.SerializeHead();
+    std::string_view entity = response.entity();
+    entity_bytes = entity.size();
+    benchmark::DoNotOptimize(head);
+    benchmark::DoNotOptimize(entity);
+  }
+  state.SetLabel(std::to_string(entity_bytes) + " B entity");
+}
+BENCHMARK_CAPTURE(BM_ServeStoredDocument, lod_page, "/lod/gallery3.html",
+                  0);
+BENCHMARK_CAPTURE(BM_ServeStoredDocument, raster_2mb, "/bench/raster.gif",
+                  2 << 20);
 
 // Dirty-document serve: every iteration invalidates the page so the
 // serve pays link rewriting (document engineering) again.

@@ -109,7 +109,7 @@ int main() {
   http::Request index;
   index.target = "/index.html";
   http::Response page = home.HandleRequest(index, &network);
-  std::printf("\nregenerated /index.html:\n%s\n", page.body.c_str());
+  std::printf("\nregenerated /index.html:\n%s\n", page.entity().c_str());
 
   network.StopAll();
   std::printf("quickstart done.\n");

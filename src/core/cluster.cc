@@ -51,7 +51,10 @@ Result<http::Response> LoopbackNetwork::Execute(
   // Dispatch outside the lock: the handler may itself call back into the
   // network (co-op fetch through home), and holding the lock would
   // deadlock that re-entrancy.
-  return server->HandleRequest(request, this);
+  http::Response response = server->HandleRequest(request, this);
+  // In-process callers read `body`; give them their own copy.
+  response.OwnEntity();
+  return response;
 }
 
 Cluster::Cluster(int count, const ServerParams& params,

@@ -78,6 +78,14 @@ std::string MigrateToRevokeTarget(std::string_view migrate_target) {
   return out;
 }
 
+// A 200 whose entity is a document version's bytes, shared with the
+// store rather than copied (the response keeps the version alive).
+http::Response ServeDocument(const storage::DocumentPtr& doc) {
+  http::Response r = http::MakeOkResponse(std::string(), doc->content_type);
+  r.shared_body = std::shared_ptr<const std::string>(doc, &doc->content);
+  return r;
+}
+
 }  // namespace
 
 Server::Server(http::ServerAddress self, ServerParams params,
@@ -344,8 +352,9 @@ http::Response Server::HandleRequest(const http::Request& request,
     // HEAD: headers only.  Content-Length still advertises the entity
     // size the matching GET would carry.
     response.headers.Set(std::string(http::kHeaderContentLength),
-                         std::to_string(response.body.size()));
+                         std::to_string(response.entity().size()));
     response.body.clear();
+    response.shared_body.reset();
   }
   if (from_peer) {
     AttachPiggyback(response.headers);
@@ -364,9 +373,9 @@ http::Response Server::HandleRequest(const http::Request& request,
       line << client << " - - [-] \"" << request.method << " "
            << request.target << " " << request.version << "\" "
            << response.status_code << " "
-           << (response.body.empty()
+           << (response.entity().empty()
                    ? std::string("-")
-                   : std::to_string(response.body.size()));
+                   : std::to_string(response.entity().size()));
       access_log_(std::move(line).str());
     }
   }
@@ -673,9 +682,8 @@ http::Response Server::HandleMigratedRequest(const http::Request& request,
     ctr_stale_serves_->Increment();
   }
   ctr_served_coop_->Increment();
-  CountConnection(doc->size());
-  return http::MakeOkResponse(std::move(doc->content),
-                              doc->content_type);
+  CountConnection((*doc)->size());
+  return ServeDocument(*doc);
 }
 
 http::Response Server::HandleLocalRequest(const http::Request& request,
@@ -708,7 +716,7 @@ http::Response Server::HandleLocalRequest(const http::Request& request,
       return http::MakeNotFoundResponse(name);
     }
     trace->regenerated = trace->regenerated || record->is_html;
-    std::string etag = ContentEtag(*rendered);
+    std::string etag = ContentEtag((*rendered)->content);
     if (auto if_none_match =
             request.headers.Get(http::kHeaderIfNoneMatch);
         if_none_match.has_value() && *if_none_match == etag) {
@@ -721,11 +729,7 @@ http::Response Server::HandleLocalRequest(const http::Request& request,
                                std::move(etag));
       return not_modified;
     }
-    auto doc = store_.Get(name);
-    http::Response ok = http::MakeOkResponse(
-        std::move(rendered).value(), doc.ok()
-                                         ? doc->content_type
-                                         : "application/octet-stream");
+    http::Response ok = ServeDocument(*rendered);
     ok.headers.Set(std::string(http::kHeaderEtag), std::move(etag));
     return ok;
   }
@@ -738,25 +742,21 @@ http::Response Server::HandleLocalRequest(const http::Request& request,
   }
 
   ldg_.RecordHit(name);
-  std::string content;
+  Result<storage::DocumentPtr> doc = Status::NotFound(name);
   if (record->dirty && record->is_html) {
     obs::ScopedSpan span(trace->spans, clock_, "rewrite");
-    auto regenerated = RegenerateDocument(name);
-    if (regenerated.ok()) {
-      content = std::move(regenerated).value();
-      trace->regenerated = true;
-    }
+    doc = RegenerateDocument(name);
+    trace->regenerated = doc.ok();
   }
-  auto doc = store_.Get(name);
+  if (!doc.ok()) doc = store_.Get(name);
   if (!doc.ok()) {
     ctr_not_found_->Increment();
     CountConnection(0);
     return http::MakeNotFoundResponse(name);
   }
-  if (content.empty()) content = std::move(doc->content);
   ctr_served_local_->Increment();
-  CountConnection(content.size());
-  return http::MakeOkResponse(std::move(content), doc->content_type);
+  CountConnection((*doc)->size());
+  return ServeDocument(*doc);
 }
 
 bool Server::FetchFromHome(PeerClient* peers, const std::string& target,
@@ -780,7 +780,7 @@ bool Server::FetchFromHome(PeerClient* peers, const std::string& target,
   if (params_.conditional_validation) {
     if (auto held = store_.Get(target); held.ok()) {
       fetch.headers.Set(std::string(http::kHeaderIfNoneMatch),
-                        ContentEtag(held->content));
+                        ContentEtag((*held)->content));
     }
   }
 
@@ -874,11 +874,12 @@ std::string Server::LinkUrlFor(const std::string& name,
   return migrate::EncodeMigratedUrl(location, self_, name);
 }
 
-Result<std::string> Server::RegenerateDocument(const std::string& path) {
-  DCWS_ASSIGN_OR_RETURN(storage::Document doc, store_.Get(path));
-  if (!doc.is_html()) {
+Result<storage::DocumentPtr> Server::RegenerateDocument(
+    const std::string& path) {
+  DCWS_ASSIGN_OR_RETURN(storage::DocumentPtr stored, store_.Get(path));
+  if (!stored->is_html()) {
     DCWS_RETURN_IF_ERROR(ldg_.SetDirty(path, false));
-    return std::move(doc.content);
+    return stored;
   }
 
   // Replica rotation granularity is the DOCUMENT: every occurrence of a
@@ -888,7 +889,7 @@ Result<std::string> Server::RegenerateDocument(const std::string& path) {
   // different pages rotate across the replica set.
   std::unordered_map<std::string, std::string> chosen;
   html::RewriteResult rewritten = html::RewriteLinks(
-      doc.content, path,
+      stored->content, path,
       [&](const html::LinkOccurrence& link)
           -> std::optional<std::string> {
         std::optional<std::string> name = InternalPathFor(link);
@@ -917,29 +918,32 @@ Result<std::string> Server::RegenerateDocument(const std::string& path) {
 
   hist_html_parse_->Observe(rewritten.parse_micros);
   hist_html_reconstruct_->Observe(rewritten.reconstruct_micros);
-  doc.content = std::move(rewritten.html);
-  std::string result = doc.content;
-  store_.Put(std::move(doc));
+  // Stored versions are immutable: the edit is a new version, built
+  // from a copy of the old one's metadata, and served as stored.
+  storage::DocumentPtr regenerated = store_.Put(storage::Document{
+      stored->path, std::move(rewritten.html), stored->content_type});
   DCWS_RETURN_IF_ERROR(ldg_.SetDirty(path, false));
   ctr_regenerations_->Increment();
-  return result;
+  return regenerated;
 }
 
-Result<std::string> Server::RenderForTransfer(const std::string& path) {
-  DCWS_ASSIGN_OR_RETURN(storage::Document doc, store_.Get(path));
-  if (!doc.is_html()) return std::move(doc.content);
+Result<storage::DocumentPtr> Server::RenderForTransfer(
+    const std::string& path) {
+  DCWS_ASSIGN_OR_RETURN(storage::DocumentPtr stored, store_.Get(path));
+  if (!stored->is_html()) return stored;
 
   // Every internal link becomes absolute at its current location, so the
   // copy served by the co-op resolves references back to the cluster
-  // instead of into the co-op's own namespace.
+  // instead of into the co-op's own namespace.  That includes the page's
+  // link to itself: RegenerateDocument writes it site-absolute, which on
+  // the co-op would name a path the co-op does not serve.
   std::unordered_map<std::string, std::string> chosen;
   html::RewriteResult rewritten = html::RewriteLinks(
-      doc.content, path,
+      stored->content, path,
       [&](const html::LinkOccurrence& link)
           -> std::optional<std::string> {
         std::optional<std::string> name = InternalPathFor(link);
         if (!name.has_value()) return std::nullopt;
-        if (*name == path) return std::nullopt;  // self link
         auto memo = chosen.find(*name);
         if (memo != chosen.end()) return memo->second;
         auto record = ldg_.Brief(*name);
@@ -960,7 +964,9 @@ Result<std::string> Server::RenderForTransfer(const std::string& path) {
   hist_html_parse_->Observe(rewritten.parse_micros);
   hist_html_reconstruct_->Observe(rewritten.reconstruct_micros);
   ctr_regenerations_->Increment();
-  return std::move(rewritten.html);
+  // A transfer rendering is not stored; only the response holds it.
+  return std::make_shared<const storage::Document>(storage::Document{
+      stored->path, std::move(rewritten.html), stored->content_type});
 }
 
 // ---------------------------------------------------------------------

@@ -228,16 +228,17 @@ class Server {
   // is set (or while another capture runs).
   http::Response HandleDcwsProfile(const std::string& query);
 
-  // Regenerates a dirty document in place: rewrites hyperlinks whose
-  // targets migrated (or gained replicas) to their current URLs, writes
-  // the new source back to the store and clears the dirty bit.  Returns
-  // the fresh content.
-  Result<std::string> RegenerateDocument(const std::string& path);
+  // Regenerates a dirty document: rewrites hyperlinks whose targets
+  // migrated (or gained replicas) to their current URLs, stores the
+  // result as the document's new version and clears the dirty bit.
+  // Returns the stored version.
+  Result<storage::DocumentPtr> RegenerateDocument(const std::string& path);
 
   // Renders a document for transfer to another server: every internal
-  // link becomes an absolute URL at its current location, so the copy is
-  // position-independent on the co-op.
-  Result<std::string> RenderForTransfer(const std::string& path);
+  // link (the page's self link included) becomes an absolute URL at its
+  // current location, so the copy is position-independent on the co-op.
+  // Non-HTML documents transfer as the stored version itself.
+  Result<storage::DocumentPtr> RenderForTransfer(const std::string& path);
 
   // Chooses the URL a hyperlink to the migrated document `name`
   // (currently placed at `location`) should carry right now — replica

@@ -66,17 +66,28 @@ std::string Request::Serialize() const {
   return out;
 }
 
-std::string Response::Serialize() const {
+void Response::OwnEntity() {
+  if (shared_body == nullptr) return;
+  body = *shared_body;
+  shared_body.reset();
+}
+
+std::string Response::SerializeHead() const {
   std::string out;
-  out.reserve(128 + body.size());
+  out.reserve(128);
   out.append(version);
   out.push_back(' ');
   out.append(std::to_string(status_code));
   out.push_back(' ');
   out.append(ReasonPhrase(status_code));
   out.append("\r\n");
-  SerializeHeaders(headers, body.size(), out);
-  out.append(body);
+  SerializeHeaders(headers, entity().size(), out);
+  return out;
+}
+
+std::string Response::Serialize() const {
+  std::string out = SerializeHead();
+  out.append(entity());
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define DCWS_HTTP_MESSAGE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -72,7 +73,23 @@ struct Response {
   std::string version = "HTTP/1.0";
   HeaderMap headers;
   std::string body;
+  // Shared, immutable entity bytes (a stored document version, written
+  // to the socket without a copy).  When set, this is the entity and
+  // `body` is empty.
+  std::shared_ptr<const std::string> shared_body;
 
+  // The entity: `shared_body` when set, otherwise `body`.
+  const std::string& entity() const {
+    return shared_body != nullptr ? *shared_body : body;
+  }
+  // Copies shared entity bytes into `body` and drops the share; for
+  // in-process hand-offs, whose readers use `body`.
+  void OwnEntity();
+
+  // Status line and headers up to the blank line; Content-Length comes
+  // from entity() unless a header sets it.
+  std::string SerializeHead() const;
+  // SerializeHead() followed by the entity.
   std::string Serialize() const;
   bool IsSuccess() const { return status_code >= 200 && status_code < 300; }
   bool IsRedirect() const { return status_code == 301 || status_code == 302; }

@@ -123,6 +123,8 @@ void InprocServerHost::WorkerLoop() {
     if (now > job->enqueued) trace.queue_wait = now - job->enqueued;
     http::Response response =
         server_->HandleRequest(job->request, network_, &trace);
+    // The caller reads `body` once the promise hands the response over.
+    response.OwnEntity();
     job->promise.set_value(std::move(response));
   }
 }

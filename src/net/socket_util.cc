@@ -4,10 +4,14 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
+#include <vector>
 
 namespace dcws::net {
 
@@ -91,18 +95,40 @@ Result<Socket> ConnectLoopback(uint16_t port) {
   return socket;
 }
 
-Status WriteAll(const Socket& socket, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(socket.fd(), data.data() + sent,
-                       data.size() - sent, MSG_NOSIGNAL);
+Status WriteAll(const Socket& socket,
+                std::span<const std::string_view> parts) {
+  std::vector<iovec> iov;
+  iov.reserve(parts.size());
+  for (std::string_view part : parts) {
+    if (part.empty()) continue;
+    iov.push_back({const_cast<char*>(part.data()), part.size()});
+  }
+  size_t next = 0;  // first buffer with bytes left to send
+  while (next < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + next;
+    msg.msg_iovlen = std::min<size_t>(iov.size() - next, IOV_MAX);
+    ssize_t n = ::sendmsg(socket.fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::Unavailable(Errno("send"));
+      return Status::Unavailable(Errno("sendmsg"));
     }
-    sent += static_cast<size_t>(n);
+    // Skip the buffers sent whole, then advance into a partial one.
+    auto sent = static_cast<size_t>(n);
+    while (next < iov.size() && sent >= iov[next].iov_len) {
+      sent -= iov[next].iov_len;
+      ++next;
+    }
+    if (sent > 0) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + sent;
+      iov[next].iov_len -= sent;
+    }
   }
   return Status::Ok();
+}
+
+Status WriteAll(const Socket& socket, std::string_view data) {
+  return WriteAll(socket, std::span<const std::string_view>(&data, 1));
 }
 
 Result<std::string> ReadSome(const Socket& socket, size_t max) {

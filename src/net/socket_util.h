@@ -2,7 +2,9 @@
 #define DCWS_NET_SOCKET_UTIL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "src/util/result.h"
 
@@ -42,7 +44,12 @@ Result<Socket> ListenLoopback(uint16_t port, int backlog,
 // Connects to 127.0.0.1:`port`.
 Result<Socket> ConnectLoopback(uint16_t port);
 
-// Blocking full write.
+// Blocking full write of `parts`, in order, as one byte stream: one
+// vectored sendmsg per round (MSG_NOSIGNAL), resuming a partial send at
+// the first unsent byte of the buffer it stopped in; EINTR retries.
+Status WriteAll(const Socket& socket, std::span<const std::string_view> parts);
+
+// Blocking full write of one buffer (the vectored write above).
 Status WriteAll(const Socket& socket, std::string_view data);
 
 // Blocking read of up to `max` bytes; empty string = orderly shutdown.

@@ -78,6 +78,8 @@ void SimHost::StartNext() {
   }
   http::Response response =
       server_->HandleRequest(pending.request, world_, &trace);
+  // Clients and the NIC model (ServiceTime) read `body`.
+  response.OwnEntity();
   MicroTime service = ServiceTime(response, trace) + background_debt_;
   background_debt_ = 0;
 
@@ -197,6 +199,7 @@ Result<http::Response> SimWorld::Execute(
   core::RequestTrace trace;
   http::Response response =
       host->server().HandleRequest(request, this, &trace);
+  response.OwnEntity();
   host->ChargeBackground(host->ServiceTime(response, trace));
   return response;
 }

@@ -20,21 +20,23 @@ std::string GuessContentType(std::string_view path) {
   return "application/octet-stream";
 }
 
-void DocumentStore::Put(Document doc) {
-  WriterMutexLock lock(mutex_);
-  auto it = documents_.find(doc.path);
-  if (it != documents_.end()) {
-    total_bytes_ -= it->second.size();
-    total_bytes_ += doc.size();
-    it->second = std::move(doc);
-    return;
+DocumentPtr DocumentStore::Put(Document doc) {
+  auto version = std::make_shared<const Document>(std::move(doc));
+  DocumentPtr replaced;  // dropped after the lock is released
+  {
+    WriterMutexLock lock(mutex_);
+    auto [it, inserted] = documents_.try_emplace(version->path);
+    if (!inserted) {
+      total_bytes_ -= it->second->size();
+      replaced = std::move(it->second);
+    }
+    total_bytes_ += version->size();
+    it->second = version;
   }
-  total_bytes_ += doc.size();
-  std::string key = doc.path;
-  documents_.emplace(std::move(key), std::move(doc));
+  return version;
 }
 
-Result<Document> DocumentStore::Get(std::string_view path) const {
+Result<DocumentPtr> DocumentStore::Get(std::string_view path) const {
   ReaderMutexLock lock(mutex_);
   auto it = documents_.find(std::string(path));
   if (it == documents_.end()) {
@@ -49,13 +51,17 @@ bool DocumentStore::Contains(std::string_view path) const {
 }
 
 Status DocumentStore::Remove(std::string_view path) {
-  WriterMutexLock lock(mutex_);
-  auto it = documents_.find(std::string(path));
-  if (it == documents_.end()) {
-    return Status::NotFound("no document at " + std::string(path));
+  DocumentPtr removed;  // dropped after the lock is released
+  {
+    WriterMutexLock lock(mutex_);
+    auto it = documents_.find(std::string(path));
+    if (it == documents_.end()) {
+      return Status::NotFound("no document at " + std::string(path));
+    }
+    total_bytes_ -= it->second->size();
+    removed = std::move(it->second);
+    documents_.erase(it);
   }
-  total_bytes_ -= it->second.size();
-  documents_.erase(it);
   return Status::Ok();
 }
 
@@ -81,7 +87,7 @@ uint64_t DocumentStore::TotalBytes() const {
 void DocumentStore::ForEach(
     const std::function<void(const Document&)>& fn) const {
   ReaderMutexLock lock(mutex_);
-  for (const auto& [path, doc] : documents_) fn(doc);
+  for (const auto& [path, doc] : documents_) fn(*doc);
 }
 
 }  // namespace dcws::storage

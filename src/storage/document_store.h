@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -13,6 +14,12 @@
 #include "src/util/result.h"
 
 namespace dcws::storage {
+
+// One stored version of a document.  Versions are immutable: Put swaps
+// in a new version instead of editing the old one, so a reader (a
+// response still being written, say) keeps the bytes it was handed for
+// as long as it holds the pointer.
+using DocumentPtr = std::shared_ptr<const Document>;
 
 // In-memory virtual disk for one server.  Home servers are seeded with
 // their site's documents; co-op servers start empty and fill lazily as
@@ -26,12 +33,14 @@ class DocumentStore {
   DocumentStore(const DocumentStore&) = delete;
   DocumentStore& operator=(const DocumentStore&) = delete;
 
-  // Inserts or replaces the document at `doc.path`.
-  void Put(Document doc);
+  // Inserts or replaces the document at `doc.path`; returns the stored
+  // version.  A replaced version is released after the writer lock, so
+  // freeing a large body never stalls readers.
+  DocumentPtr Put(Document doc);
 
-  // Copy-out read.  (Copies keep lock scopes tiny; document bodies in the
-  // modelled datasets average a few KB.)
-  [[nodiscard]] Result<Document> Get(std::string_view path) const;
+  // The current version at `path`.  The reader lock covers only taking
+  // the pointer; no bytes are copied.
+  [[nodiscard]] Result<DocumentPtr> Get(std::string_view path) const;
 
   bool Contains(std::string_view path) const;
   [[nodiscard]] Status Remove(std::string_view path);
@@ -48,7 +57,7 @@ class DocumentStore {
 
  private:
   mutable SharedMutex mutex_;
-  std::unordered_map<std::string, Document> documents_
+  std::unordered_map<std::string, DocumentPtr> documents_
       DCWS_GUARDED_BY(mutex_);
   uint64_t total_bytes_ DCWS_GUARDED_BY(mutex_) = 0;
 };

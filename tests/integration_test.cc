@@ -123,11 +123,11 @@ TEST_F(IntegrationTest, ContentSurvivesArbitraryMigrationStates) {
     http::Response resp = FetchFollowingRedirects(doc.path);
     ASSERT_EQ(resp.status_code, 200) << doc.path;
     if (doc.is_html()) {
-      EXPECT_EQ(CanonicalizeLinks(resp.body, doc.path),
+      EXPECT_EQ(CanonicalizeLinks(resp.entity(), doc.path),
                 CanonicalizeLinks(doc.content, doc.path))
           << doc.path;
     } else {
-      EXPECT_EQ(resp.body, doc.content) << doc.path;
+      EXPECT_EQ(resp.entity(), doc.content) << doc.path;
     }
   }
 }
@@ -178,8 +178,8 @@ TEST_F(IntegrationTest, AuthorUpdatePropagatesWithinValidation) {
 
   http::Response resp = FetchFollowingRedirects(victim);
   ASSERT_EQ(resp.status_code, 200);
-  EXPECT_NE(resp.body.find("editorial correction v2"), std::string::npos)
-      << resp.body;
+  EXPECT_NE(resp.entity().find("editorial correction v2"), std::string::npos)
+      << resp.entity();
 }
 
 TEST_F(IntegrationTest, CrashRecoveryRestoresFullService) {

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "src/migrate/naming.h"
 #include "src/obs/events.h"
 #include "src/net/inproc.h"
+#include "src/net/tcp.h"
 #include "src/util/rng.h"
 #include "tests/harness/cluster_harness.h"
 
@@ -53,6 +55,16 @@ core::ServerParams StressParams() {
   params.max_replicas = 2;
   params.conditional_validation = true;
   return params;
+}
+
+// Version `rev` of the raced document: a "rev N" line, then filler at a
+// length that varies with N, so a body names the one version it must
+// equal in full.
+std::string Version(int rev) {
+  std::string body = "rev " + std::to_string(rev) + "\n";
+  body.resize(48 * 1024 + static_cast<size_t>(rev % 7) * 8191,
+              static_cast<char>('a' + rev % 26));
+  return body;
 }
 
 // ---------------------------------------------------------------------
@@ -227,6 +239,61 @@ TEST(RaceStressTest, ReplicaTableConcurrentRotationStaysInSet) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(escaped.load(), 0) << "PickReplica returned a non-member";
+}
+
+// Responses share stored versions and write them to the socket after
+// the store lock is released.  An author replacing a document while TCP
+// clients fetch it must never tear a body: each one received is exactly
+// one whole version.
+TEST(RaceStressTest, PutDocumentRacesTcpGetsOfThePath) {
+  WallClock clock;
+  core::ServerParams params;
+  params.worker_threads = 3;
+  core::Server server({"race-home", 8001}, params, &clock);
+  ASSERT_TRUE(server
+                  .LoadSite({Doc("/index.html", "<a href=\"v.gif\">v</a>"),
+                             Doc("/v.gif", Version(0))},
+                            {"/index.html"})
+                  .ok());
+  net::TcpNetwork network;
+  auto host = network.AddServer(&server);
+  ASSERT_TRUE(host.ok()) << host.status();
+  const uint16_t port = (*host)->port();
+
+  std::atomic<bool> stop{false};
+  std::thread author([&] {
+    for (int rev = 1; !stop.load(); ++rev) {
+      (void)server.PutDocument(Doc("/v.gif", Version(rev)));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::atomic<int> whole{0};
+  std::atomic<int> broken{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClientThreads; ++t) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        http::Request request;
+        request.target = "/v.gif";
+        auto response = net::TcpCall(port, request);
+        if (!response.ok() || response->status_code != 200) {
+          broken.fetch_add(1);
+          continue;
+        }
+        const std::string& body = response->body;
+        int rev = -1;
+        if (body.rfind("rev ", 0) == 0) rev = std::atoi(body.c_str() + 4);
+        (rev >= 0 && body == Version(rev) ? whole : broken).fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  stop.store(true);
+  author.join();
+  network.StopAll();
+
+  EXPECT_EQ(broken.load(), 0);
+  EXPECT_EQ(whole.load(), kClientThreads * kRequestsPerClient);
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include "src/core/cluster.h"
 #include "src/core/server.h"
+#include "src/html/links.h"
 #include "src/http/url.h"
 #include "src/migrate/naming.h"
 #include "src/obs/export.h"
@@ -101,7 +102,7 @@ class ServerTest : public ::testing::Test {
 TEST_F(ServerTest, ServesLocalDocument) {
   Response resp = home().HandleRequest(Get("/b.html"), &net());
   EXPECT_EQ(resp.status_code, 200);
-  EXPECT_EQ(resp.body, "<p>leaf b</p>");
+  EXPECT_EQ(resp.entity(), "<p>leaf b</p>");
   EXPECT_EQ(resp.headers.Get("Content-Type").value(), "text/html");
   EXPECT_EQ(home().counters().served_local, 1u);
 }
@@ -109,7 +110,7 @@ TEST_F(ServerTest, ServesLocalDocument) {
 TEST_F(ServerTest, RootMapsToIndex) {
   Response resp = home().HandleRequest(Get("/"), &net());
   EXPECT_EQ(resp.status_code, 200);
-  EXPECT_NE(resp.body.find("a.html"), std::string::npos);
+  EXPECT_NE(resp.entity().find("a.html"), std::string::npos);
 }
 
 TEST_F(ServerTest, UnknownIs404) {
@@ -157,9 +158,9 @@ TEST_F(ServerTest, LinkFromPagesRegenerateWithNewUrls) {
   EXPECT_EQ(resp.status_code, 200);
   std::string expected = migrate::EncodeMigratedUrl(
       record->location, home().address(), doc);
-  EXPECT_NE(resp.body.find(expected), std::string::npos)
+  EXPECT_NE(resp.entity().find(expected), std::string::npos)
       << "parent page should link to " << expected << "; got\n"
-      << resp.body;
+      << resp.entity();
   EXPECT_EQ(home().counters().regenerations, regens_before + 1);
 
   // Second request: already clean, no further reconstruction.
@@ -183,7 +184,7 @@ TEST_F(ServerTest, CoopFetchesOnFirstRequestThenServesLocally) {
   Response second = coop->HandleRequest(Get(target), &net());
   EXPECT_EQ(second.status_code, 200);
   EXPECT_EQ(coop->counters().coop_fetches, 1u);  // no refetch
-  EXPECT_EQ(second.body, first.body);
+  EXPECT_EQ(second.entity(), first.entity());
 }
 
 TEST_F(ServerTest, TransferredHtmlHasAbsoluteLinks) {
@@ -202,8 +203,8 @@ TEST_F(ServerTest, TransferredHtmlHasAbsoluteLinks) {
   ASSERT_EQ(resp.status_code, 200);
   // Links inside the migrated copy must be absolute (resolve back to the
   // cluster, not into the co-op's own namespace).
-  EXPECT_EQ(resp.body.find("src=\"pic.gif\""), std::string::npos);
-  EXPECT_NE(resp.body.find("http://"), std::string::npos);
+  EXPECT_EQ(resp.entity().find("src=\"pic.gif\""), std::string::npos);
+  EXPECT_NE(resp.entity().find("http://"), std::string::npos);
 }
 
 TEST_F(ServerTest, PiggybackSpreadsLoadInfo) {
@@ -284,8 +285,8 @@ TEST_F(ServerTest, RegeneratedPagePointsHomeAfterRevocation) {
 
   Response resp = home().HandleRequest(Get(parent), &net());
   EXPECT_EQ(resp.status_code, 200);
-  EXPECT_EQ(resp.body.find("~migrate"), std::string::npos)
-      << "links must point home again: " << resp.body;
+  EXPECT_EQ(resp.entity().find("~migrate"), std::string::npos)
+      << "links must point home again: " << resp.entity();
 }
 
 TEST_F(ServerTest, StaleMigrateTargetNamingSelfRedirectsHome) {
@@ -329,7 +330,7 @@ TEST_F(ServerTest, CoopServesStaleCopyWhenHomeDown) {
   clock_.Advance(Seconds(130));
   Response resp = coop->HandleRequest(Get(target), &net());
   EXPECT_EQ(resp.status_code, 200);
-  EXPECT_EQ(resp.body, first.body);
+  EXPECT_EQ(resp.entity(), first.entity());
   EXPECT_GE(coop->counters().stale_serves, 1u);
 }
 
@@ -376,11 +377,11 @@ TEST_F(ServerTest, HeadReturnsHeadersOnly) {
   head.method = "HEAD";
   Response resp = home().HandleRequest(head, &net());
   EXPECT_EQ(resp.status_code, 200);
-  EXPECT_TRUE(resp.body.empty());
+  EXPECT_TRUE(resp.entity().empty());
   // Content-Length advertises what GET would carry.
   Response get = home().HandleRequest(Get("/b.html"), &net());
   EXPECT_EQ(resp.headers.Get("Content-Length").value(),
-            std::to_string(get.body.size()));
+            std::to_string(get.entity().size()));
   EXPECT_EQ(resp.headers.Get("Content-Type").value(), "text/html");
 }
 
@@ -423,7 +424,53 @@ TEST_F(ServerTest, ConditionalValidationAnswers304) {
                     "\"0000000000000000\"");
   Response refreshed = home().HandleRequest(fetch, &net());
   EXPECT_EQ(refreshed.status_code, 200);
-  EXPECT_FALSE(refreshed.body.empty());
+  EXPECT_FALSE(refreshed.entity().empty());
+}
+
+// A page's link to itself must survive migration.  Regeneration at home
+// writes the self link site-absolute; the co-op's copy has to carry a
+// URL the cluster serves, not a path that resolves against the co-op.
+TEST(CoopSelfLinkTest, MigratedPageSelfLinkResolves) {
+  ManualClock clock(Seconds(1));
+  Cluster cluster(2, TestParams(), &clock);
+  Server& home = cluster.server(0);
+  Server& coop = cluster.server(1);
+  const std::string page = "/archive/msg1.html";
+  ASSERT_TRUE(home.LoadSite({Doc("/index.html",
+                                 "<a href=\"archive/msg1.html\">m</a>"),
+                             Doc(page, "<a href=\"msg1.html\">this</a>")},
+                            {"/index.html"})
+                  .ok());
+  ASSERT_TRUE(home.ldg().SetDirty(page, true).ok());
+  Response regenerated = home.HandleRequest(Get(page), &cluster.network());
+  ASSERT_EQ(regenerated.status_code, 200);
+  ASSERT_NE(regenerated.entity().find("href=\"" + page + "\""),
+            std::string::npos)
+      << regenerated.entity();
+
+  // Migrate the page; the co-op pulls its copy from home on first use.
+  ASSERT_TRUE(home.ldg().SetLocation(page, coop.address()).ok());
+  std::string target = migrate::EncodeMigratedTarget(home.address(), page);
+  Response copy = coop.HandleRequest(Get(target), &cluster.network());
+  ASSERT_EQ(copy.status_code, 200);
+
+  // Follow the copy's self link the way a browser at the co-op would.
+  std::vector<html::LinkOccurrence> links =
+      html::ExtractLinks(copy.entity(), target);
+  ASSERT_EQ(links.size(), 1u) << copy.entity();
+  http::ServerAddress at = coop.address();
+  std::string path = links[0].resolved;
+  if (http::IsAbsoluteUrl(path)) {
+    auto url = http::Url::Parse(path);
+    ASSERT_TRUE(url.ok());
+    at = {url->host, url->port};
+    path = url->path;
+  }
+  Server* host = cluster.network().Find(at);
+  ASSERT_NE(host, nullptr) << links[0].resolved;
+  Response followed = host->HandleRequest(Get(path), &cluster.network());
+  EXPECT_TRUE(followed.status_code == 200 || followed.status_code == 301)
+      << links[0].resolved << " answered " << followed.status_code;
 }
 
 TEST(ConditionalValidationTest, SweepUses304WhenEnabled) {
@@ -464,7 +511,7 @@ TEST(ConditionalValidationTest, SweepUses304WhenEnabled) {
   // Content unchanged and still served.
   Response again = coop->HandleRequest(Get(target), &cluster.network());
   EXPECT_EQ(again.status_code, 200);
-  EXPECT_NE(again.body.find("payload"), std::string::npos);
+  EXPECT_NE(again.entity().find("payload"), std::string::npos);
 }
 
 // ---------------------------------------------------------- replication
@@ -539,11 +586,11 @@ TEST_F(ReplicationTest, HotDocumentGainsReplicas) {
   ASSERT_EQ(page.status_code, 200);
   // Either the plain path (served at home) or the absolute home URL
   // (position-independent co-op copy) — never a ~migrate replica URL.
-  EXPECT_NE(page.body.find("/hot.jpg\""), std::string::npos)
+  EXPECT_NE(page.entity().find("/hot.jpg\""), std::string::npos)
       << "replicated image should be linked at its home URL: "
-      << page.body;
-  EXPECT_EQ(page.body.find("~migrate"), std::string::npos)
-      << "links must not pin one replica: " << page.body;
+      << page.entity();
+  EXPECT_EQ(page.entity().find("~migrate"), std::string::npos)
+      << "links must not pin one replica: " << page.entity();
 
   // Successive requests for the hot document at home 301 to different
   // replicas.

@@ -30,8 +30,8 @@ TEST(DocumentStoreTest, PutGetRemove) {
   EXPECT_TRUE(store.Contains("/a.html"));
   auto doc = store.Get("/a.html");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->content, "<p>a</p>");
-  EXPECT_EQ(doc->content_type, "text/html");
+  EXPECT_EQ((*doc)->content, "<p>a</p>");
+  EXPECT_EQ((*doc)->content_type, "text/html");
 
   EXPECT_TRUE(store.Remove("/a.html").ok());
   EXPECT_FALSE(store.Contains("/a.html"));
@@ -59,6 +59,25 @@ TEST(DocumentStoreTest, ListPathsSorted) {
   auto paths = store.ListPaths();
   ASSERT_EQ(paths.size(), 3u);
   EXPECT_TRUE(std::is_sorted(paths.begin(), paths.end()));
+}
+
+TEST(DocumentStoreTest, HeldVersionKeepsItsBytesAfterReplaceAndRemove) {
+  DocumentStore store;
+  storage::DocumentPtr first = store.Put(MakeDoc("/a.gif", "first"));
+  auto read = store.Get("/a.gif");
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, first);  // a read shares the stored version
+
+  storage::DocumentPtr second = store.Put(MakeDoc("/a.gif", "second"));
+  EXPECT_EQ(first->content, "first");
+  EXPECT_EQ(store.Get("/a.gif").value(), second);
+
+  ASSERT_TRUE(store.Remove("/a.gif").ok());
+  EXPECT_FALSE(store.Contains("/a.gif"));
+  EXPECT_EQ(first->content, "first");
+  EXPECT_EQ(second->content, "second");
+  EXPECT_EQ(second->path, "/a.gif");
+  EXPECT_EQ(store.TotalBytes(), 0u);
 }
 
 TEST(DocumentStoreTest, GuessContentType) {

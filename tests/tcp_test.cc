@@ -3,7 +3,12 @@
 // the cooperating servers themselves.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/socket.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <thread>
 
 #include "src/net/tcp.h"
@@ -30,6 +35,18 @@ storage::Document Doc(std::string path, std::string content) {
   doc.content = std::move(content);
   doc.content_type = storage::GuessContentType(doc.path);
   return doc;
+}
+
+// `size` pseudo-random bytes: a write resumed at the wrong byte, or in
+// the wrong buffer, cannot reproduce them.
+std::string Pattern(size_t size, uint32_t seed) {
+  std::string out(size, '\0');
+  uint32_t x = seed;
+  for (char& c : out) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  return out;
 }
 
 class TcpTest : public ::testing::Test {
@@ -82,6 +99,103 @@ TEST_F(TcpTest, BinaryBodySurvivesTheWire) {
   auto response = TcpCall(home_port_, Get("/pic.gif"));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->body, std::string(1000, 'Z'));
+}
+
+TEST_F(TcpTest, StoredMultiMegabyteDocumentArrivesByteExact) {
+  const std::string raster = Pattern(3 * 1024 * 1024 + 17, 7);
+  ASSERT_TRUE(home_.PutDocument(Doc("/raster.gif", raster)).ok());
+  auto response = TcpCall(home_port_, Get("/raster.gif"));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->status_code, 200);
+  EXPECT_EQ(response->headers.Get("Content-Length").value(),
+            std::to_string(raster.size()));
+  EXPECT_EQ(response->body.size(), raster.size());
+  EXPECT_TRUE(response->body == raster);  // no multi-MB failure dump
+}
+
+TEST_F(TcpTest, HeadOfStoredDocumentHasGetLengthAndNoBody) {
+  auto get = TcpCall(home_port_, Get("/pic.gif"));
+  ASSERT_TRUE(get.ok()) << get.status();
+  ASSERT_EQ(get->body.size(), 1000u);
+
+  // Read the raw reply to EOF: a framer would wait for the advertised
+  // length, which a HEAD reply must not carry.
+  auto conn = ConnectLoopback(home_port_);
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(WriteAll(*conn, "HEAD /pic.gif HTTP/1.0\r\n\r\n").ok());
+  std::string wire;
+  while (true) {
+    auto chunk = ReadSome(*conn);
+    ASSERT_TRUE(chunk.ok()) << chunk.status();
+    if (chunk->empty()) break;
+    wire += *chunk;
+  }
+  std::string length(get->headers.Get("Content-Length").value());
+  EXPECT_EQ(wire.rfind("HTTP/1.0 200", 0), 0u) << wire;
+  EXPECT_NE(wire.find("Content-Length: " + length + "\r\n"), std::string::npos)
+      << wire;
+  size_t head_end = wire.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos) << wire;
+  EXPECT_EQ(wire.size(), head_end + 4) << "HEAD reply carried body bytes";
+}
+
+// A blocking send comes back short only when a signal interrupts it, so
+// a helper thread keeps signalling the writer while a slow reader drains
+// small socket buffers.  Every short send must resume at the right byte
+// of the right buffer, and every EINTR must retry.
+TEST(SocketUtilTest, VectoredWriteResumesInterruptedPartialSends) {
+  struct sigaction interrupt = {};
+  interrupt.sa_handler = [](int) {};
+  sigemptyset(&interrupt.sa_mask);  // no SA_RESTART: sends return short
+  struct sigaction previous = {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &interrupt, &previous), 0);
+
+  // A local stream pair with a small send buffer: the writer blocks
+  // often, and without TCP's acknowledgement timers.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket sender(fds[0]);
+  Socket receiver(fds[1]);
+  int small = 4096;
+  ::setsockopt(sender.fd(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+
+  // Odd sizes, empty buffers included, each with bytes of its own.
+  const std::vector<std::string> buffers = {
+      "", "h", Pattern(300'007, 1), "", "xy", Pattern(200'003, 2), "z"};
+  const std::vector<std::string_view> parts(buffers.begin(), buffers.end());
+  std::string expected;
+  for (const std::string& buffer : buffers) expected += buffer;
+
+  std::atomic<bool> written{false};
+  std::atomic<bool> quiet{false};
+  Status status;
+  std::thread writer([&] {
+    status = WriteAll(sender, parts);
+    written.store(true);
+    while (!quiet.load()) std::this_thread::yield();
+    ::shutdown(sender.fd(), SHUT_WR);
+  });
+  std::thread signaller([&, target = writer.native_handle()] {
+    while (!written.load()) {
+      ::pthread_kill(target, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    quiet.store(true);
+  });
+  std::string received;
+  while (true) {
+    auto chunk = ReadSome(receiver, 1000);
+    if (!chunk.ok() || chunk->empty()) break;
+    received += *chunk;
+  }
+  receiver.Close();  // a writer still blocked (reading failed) gets EPIPE
+  writer.join();
+  signaller.join();
+  ASSERT_EQ(::sigaction(SIGUSR1, &previous, nullptr), 0);
+
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(received.size(), expected.size());
+  EXPECT_TRUE(received == expected);
 }
 
 TEST_F(TcpTest, NotFoundAndBadRequests) {
