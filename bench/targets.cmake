@@ -18,7 +18,6 @@ dcws_bench(fig7_scalability)
 dcws_bench(fig8_growth)
 dcws_bench(table2_tuning)
 dcws_bench(ablation_baselines)
-dcws_bench(ablation_replication)
 dcws_bench(ablation_geo)
 dcws_bench(ablation_validation)
 dcws_bench(latency_profile)

@@ -13,7 +13,6 @@ import sys
 MARKERS = [
     ("Ablation: DCWS vs RR-DNS", "ablation_baselines.txt"),
     ("Ablation: geographic distribution", "ablation_geo.txt"),
-    ("Ablation: hot-spot replication", "ablation_replication.txt"),
     ("Ablation: conditional revalidation", "ablation_validation.txt"),
     ("Figure 6: DCWS performance", "fig6.txt"),
     ("Figure 7: peak performance", "fig7.txt"),

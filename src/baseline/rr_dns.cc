@@ -10,7 +10,6 @@ namespace {
 // movement.
 void DisableMigration(core::ServerParams& params) {
   params.min_load_cps = 1e18;
-  params.enable_replication = false;
 }
 
 struct MeasuredRates {

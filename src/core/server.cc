@@ -146,7 +146,6 @@ void Server::InitMetrics() {
   ctr_migrations_in_ = registry_.GetCounter("dcws_migrations_total",
                                             {{"direction", "in"}});
   ctr_revocations_ = registry_.GetCounter("dcws_revocations_total");
-  ctr_replicas_added_ = registry_.GetCounter("dcws_replicas_total");
   ctr_pings_sent_ = registry_.GetCounter("dcws_pings_total");
   ctr_piggyback_absorbs_ =
       registry_.GetCounter("dcws_piggyback_absorbs_total");
@@ -449,7 +448,7 @@ http::Response Server::HandleStatus() {
       << ", coop " << c.served_coop << ", redirects " << c.redirects
       << ", 404 " << c.not_found << ")\n"
       << "migrations: " << c.migrations << ", revocations: "
-      << c.revocations << ", replicas: " << c.replicas_added << "\n"
+      << c.revocations << "\n"
       << "regenerations: " << c.regenerations << ", fetches: "
       << c.coop_fetches << ", pings: " << c.pings_sent << "\n";
   out << "global load table:\n";
@@ -738,7 +737,8 @@ http::Response Server::HandleLocalRequest(const http::Request& request,
     // Migrated: burdenless 301 from the local document graph (§4.4).
     ctr_redirects_->Increment();
     CountConnection(0);
-    return http::MakeRedirectResponse(LinkUrlFor(name, record->location));
+    return http::MakeRedirectResponse(
+        migrate::EncodeMigratedUrl(record->location, self_, name));
   }
 
   ldg_.RecordHit(name);
@@ -863,33 +863,14 @@ std::optional<std::string> Server::InternalPathFor(
   return std::nullopt;
 }
 
-std::string Server::LinkUrlFor(const std::string& name,
-                               const http::ServerAddress& location) {
-  if (params_.enable_replication && replica_table_.IsReplicated(name)) {
-    auto pick = replica_table_.PickReplica(name);
-    if (pick.has_value()) {
-      return migrate::EncodeMigratedUrl(*pick, self_, name);
-    }
-  }
-  return migrate::EncodeMigratedUrl(location, self_, name);
-}
-
-Result<storage::DocumentPtr> Server::RegenerateDocument(
-    const std::string& path) {
-  DCWS_ASSIGN_OR_RETURN(storage::DocumentPtr stored, store_.Get(path));
-  if (!stored->is_html()) {
-    DCWS_RETURN_IF_ERROR(ldg_.SetDirty(path, false));
-    return stored;
-  }
-
-  // Replica rotation granularity is the DOCUMENT: every occurrence of a
-  // target inside this page gets the same URL (a page whose 128 chart
-  // images each pointed at a different replica would make browsers fetch
-  // the image once per replica), while successive regenerations of
-  // different pages rotate across the replica set.
+std::string Server::RewriteInternalLinks(const storage::Document& page,
+                                         std::string_view local_prefix) {
+  // One LDG lookup per distinct target: every occurrence of a document
+  // inside this page (a page may link one image many times) reuses the
+  // first answer, so they also agree if the target moves mid-rewrite.
   std::unordered_map<std::string, std::string> chosen;
   html::RewriteResult rewritten = html::RewriteLinks(
-      stored->content, path,
+      page.content, page.path,
       [&](const html::LinkOccurrence& link)
           -> std::optional<std::string> {
         std::optional<std::string> name = InternalPathFor(link);
@@ -898,33 +879,36 @@ Result<storage::DocumentPtr> Server::RegenerateDocument(
         if (memo != chosen.end()) return memo->second;
         auto record = ldg_.Brief(*name);
         if (!record.ok()) return std::nullopt;
-        std::string url;
-        if (record->location == self_ ||
-            (params_.enable_replication &&
-             replica_table_.IsReplicated(*name))) {
-          // Local document: the plain site-absolute form (restoring any
-          // earlier co-op rewrite; identical values are no-ops inside
-          // RewriteLinks).  REPLICATED documents also keep their home
-          // URL: the home server answers with rotating 301s, which is
-          // what spreads a hot document across its replica set without
-          // defeating client caches with N distinct URLs.
-          url = *name;
-        } else {
-          url = LinkUrlFor(*name, record->location);
-        }
+        // Identical values are no-ops inside RewriteLinks, so a link
+        // already in its current form stays untouched.
+        std::string url =
+            record->location == self_
+                ? std::string(local_prefix) + *name
+                : migrate::EncodeMigratedUrl(record->location, self_,
+                                             *name);
         chosen.emplace(*name, url);
         return url;
       });
-
   hist_html_parse_->Observe(rewritten.parse_micros);
   hist_html_reconstruct_->Observe(rewritten.reconstruct_micros);
-  // Stored versions are immutable: the edit is a new version, built
-  // from a copy of the old one's metadata, and served as stored.
-  storage::DocumentPtr regenerated = store_.Put(storage::Document{
-      stored->path, std::move(rewritten.html), stored->content_type});
-  DCWS_RETURN_IF_ERROR(ldg_.SetDirty(path, false));
   ctr_regenerations_->Increment();
-  return regenerated;
+  return std::move(rewritten.html);
+}
+
+Result<storage::DocumentPtr> Server::RegenerateDocument(
+    const std::string& path) {
+  DCWS_ASSIGN_OR_RETURN(storage::DocumentPtr stored, store_.Get(path));
+  if (stored->is_html()) {
+    // Local links take the plain site-absolute form (restoring any
+    // earlier co-op rewrite).  Stored versions are immutable: the edit
+    // is a new version, built from a copy of the old one's metadata,
+    // and served as stored.
+    stored = store_.Put(storage::Document{
+        stored->path, RewriteInternalLinks(*stored, ""),
+        stored->content_type});
+  }
+  DCWS_RETURN_IF_ERROR(ldg_.SetDirty(path, false));
+  return stored;
 }
 
 Result<storage::DocumentPtr> Server::RenderForTransfer(
@@ -936,37 +920,12 @@ Result<storage::DocumentPtr> Server::RenderForTransfer(
   // copy served by the co-op resolves references back to the cluster
   // instead of into the co-op's own namespace.  That includes the page's
   // link to itself: RegenerateDocument writes it site-absolute, which on
-  // the co-op would name a path the co-op does not serve.
-  std::unordered_map<std::string, std::string> chosen;
-  html::RewriteResult rewritten = html::RewriteLinks(
-      stored->content, path,
-      [&](const html::LinkOccurrence& link)
-          -> std::optional<std::string> {
-        std::optional<std::string> name = InternalPathFor(link);
-        if (!name.has_value()) return std::nullopt;
-        auto memo = chosen.find(*name);
-        if (memo != chosen.end()) return memo->second;
-        auto record = ldg_.Brief(*name);
-        if (!record.ok()) return std::nullopt;
-        std::string url;
-        if (record->location == self_ ||
-            (params_.enable_replication &&
-             replica_table_.IsReplicated(*name))) {
-          // Home URL (see RegenerateDocument: replicated documents are
-          // addressed at home, which rotates 301s across replicas).
-          url = "http://" + self_.ToString() + *name;
-        } else {
-          url = LinkUrlFor(*name, record->location);
-        }
-        chosen.emplace(*name, url);
-        return url;
-      });
-  hist_html_parse_->Observe(rewritten.parse_micros);
-  hist_html_reconstruct_->Observe(rewritten.reconstruct_micros);
-  ctr_regenerations_->Increment();
-  // A transfer rendering is not stored; only the response holds it.
+  // the co-op would name a path the co-op does not serve.  A transfer
+  // rendering is not stored; only the response holds it.
   return std::make_shared<const storage::Document>(storage::Document{
-      stored->path, std::move(rewritten.html), stored->content_type});
+      stored->path,
+      RewriteInternalLinks(*stored, "http://" + self_.ToString()),
+      stored->content_type});
 }
 
 // ---------------------------------------------------------------------
@@ -1094,76 +1053,6 @@ void Server::RunStatistics(PeerClient* peers, MicroTime now) {
     }
   }
 
-  // Replication extension: when a co-op hosting our documents still runs
-  // far hotter than we do, give its hottest placement another replica.
-  if (params_.enable_replication) {
-    // A co-op is "hot" when its load stands clear of the group mean —
-    // comparing against the mean (not against our own load) detects a
-    // saturated co-op even when the home server is itself busy.
-    double mean_load = 0;
-    {
-      std::vector<load::LoadEntry> entries = glt_.Snapshot();
-      for (const load::LoadEntry& entry : entries) {
-        mean_load += entry.load_metric;
-      }
-      if (!entries.empty()) {
-        mean_load /= static_cast<double>(entries.size());
-      }
-    }
-    const graph::LocalDocumentGraph::MigratedView* hottest = nullptr;
-    double worst_load = 0;
-    for (const auto& record : migrated) {
-      auto coop = glt_.Get(record.location);
-      if (!coop.ok()) continue;
-      if (coop->load_metric <=
-          params_.replicate_load_factor * std::max(mean_load, 1.0)) {
-        continue;
-      }
-      if (hottest == nullptr || coop->load_metric > worst_load ||
-          (coop->load_metric == worst_load &&
-           record.total_hits > hottest->total_hits)) {
-        hottest = &record;
-        worst_load = coop->load_metric;
-      }
-    }
-    if (hottest != nullptr &&
-        replica_table_.ReplicaCount(hottest->name) <
-            static_cast<size_t>(params_.max_replicas)) {
-      // Choose the least-loaded server not already serving this doc.
-      std::vector<http::ServerAddress> serving =
-          replica_table_.Replicas(hottest->name);
-      serving.push_back(hottest->location);
-      std::vector<load::LoadEntry> peers_by_load = glt_.Snapshot();
-      std::sort(peers_by_load.begin(), peers_by_load.end(),
-                [](const load::LoadEntry& a, const load::LoadEntry& b) {
-                  if (a.load_metric != b.load_metric) {
-                    return a.load_metric < b.load_metric;
-                  }
-                  return a.server < b.server;
-                });
-      for (const load::LoadEntry& candidate : peers_by_load) {
-        if (candidate.server == self_) continue;
-        if (std::find(serving.begin(), serving.end(), candidate.server) !=
-            serving.end()) {
-          continue;
-        }
-        if (replica_table_.ReplicaCount(hottest->name) == 0) {
-          // Fold the primary placement into the rotation set first.
-          replica_table_.AddReplica(hottest->name, hottest->location);
-        }
-        replica_table_.AddReplica(hottest->name, candidate.server);
-        // NotFound only if the record vanished since the snapshot;
-        // dependents then have nothing to regenerate anyway.
-        (void)ldg_.TouchLinkFrom(hottest->name);
-        ctr_replicas_added_->Increment();
-        DCWS_LOG(kInfo) << self_.ToString() << " replicates "
-                        << hottest->name << " -> "
-                        << candidate.server.ToString();
-        break;
-      }
-    }
-  }
-
   ldg_.ResetWindowHits();
 }
 
@@ -1174,15 +1063,8 @@ void Server::RecallDocument(
   if (!record.ok()) return;
   http::ServerAddress coop = record->location;
   if (coop == self_) return;  // already home
-  std::vector<http::ServerAddress> holders =
-      replica_table_.Replicas(doc);
-  if (std::find(holders.begin(), holders.end(), coop) ==
-      holders.end()) {
-    holders.push_back(coop);
-  }
   if (!ldg_.SetLocation(doc, self_).ok()) return;
   home_policy_.RecordRevocation(doc);
-  replica_table_.Clear(doc);
   ctr_revocations_->Increment();
   bool coop_unreachable =
       std::find(skip_notify.begin(), skip_notify.end(), coop) !=
@@ -1195,20 +1077,14 @@ void Server::RecallDocument(
                      ? "co-op down or departing; document recalled home"
                      : "load-shift recall after T_home";
   journal_.Emit(std::move(event));
-  // Tell the (reachable) holders; best effort.
-  for (const http::ServerAddress& holder : holders) {
-    if (std::find(skip_notify.begin(), skip_notify.end(), holder) !=
-        skip_notify.end()) {
-      continue;
-    }
-    http::Request revoke;
-    revoke.method = "GET";
-    revoke.target = MigrateToRevokeTarget(
-        migrate::EncodeMigratedTarget(self_, doc));
-    revoke.headers.Set(std::string(http::kHeaderDcwsInternal),
-                       "revoke");
-    (void)InternalCall(peers, holder, std::move(revoke));
-  }
+  if (coop_unreachable) return;
+  // Tell the co-op; best effort.
+  http::Request revoke;
+  revoke.method = "GET";
+  revoke.target =
+      MigrateToRevokeTarget(migrate::EncodeMigratedTarget(self_, doc));
+  revoke.headers.Set(std::string(http::kHeaderDcwsInternal), "revoke");
+  (void)InternalCall(peers, coop, std::move(revoke));
 }
 
 void Server::ForgetPeer(const http::ServerAddress& peer,
@@ -1220,18 +1096,8 @@ void Server::ForgetPeer(const http::ServerAddress& peer,
   }
   for (const graph::LocalDocumentGraph::MigratedView& record :
        ldg_.MigratedSnapshot()) {
-    std::vector<http::ServerAddress> holders =
-        replica_table_.Replicas(record.name);
-    bool replica_at_peer = std::find(holders.begin(), holders.end(),
-                                     peer) != holders.end();
     if (record.location == peer) {
-      // Primary placement at the departing server: full recall.
       RecallDocument(record.name, peers, skip);
-    } else if (replica_at_peer) {
-      // Only a replica lived there: shrink the set and dirty dependents
-      // so regenerated hyperlinks stop naming the departed server.
-      replica_table_.RemoveReplica(record.name, peer);
-      (void)ldg_.TouchLinkFrom(record.name);
     }
   }
   glt_.RemovePeer(peer);
@@ -1312,7 +1178,6 @@ Server::Counters Server::counters() const {
   c.coop_fetches = ctr_coop_fetches_->Value();
   c.migrations = ctr_migrations_out_->Value();
   c.revocations = ctr_revocations_->Value();
-  c.replicas_added = ctr_replicas_added_->Value();
   c.pings_sent = ctr_pings_sent_->Value();
   c.internal_requests = ctr_internal_requests_->Value();
   c.stale_serves = ctr_stale_serves_->Value();

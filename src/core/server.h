@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/server_params.h"
@@ -19,7 +20,6 @@
 #include "src/migrate/coop_table.h"
 #include "src/migrate/home_policy.h"
 #include "src/migrate/naming.h"
-#include "src/migrate/replication.h"
 #include "src/obs/events.h"
 #include "src/obs/history.h"
 #include "src/obs/metrics.h"
@@ -93,11 +93,10 @@ class Server {
 
   // ---- membership changes (cluster control) ----
   // Handles `peer` leaving the server group: every document currently
-  // placed at it (primary placement or replica) is recalled — logical
-  // location back here, dependents dirtied — and the peer is dropped
-  // from the GLT and pinger tables so it is never again selected as a
-  // co-op target.  Remaining replica holders are notified best-effort.
-  // Safe to call while worker threads serve requests.
+  // placed at it is recalled — logical location back here, dependents
+  // dirtied — and the peer is dropped from the GLT and pinger tables so
+  // it is never again selected as a co-op target.  Safe to call while
+  // worker threads serve requests.
   void ForgetPeer(const http::ServerAddress& peer, PeerClient* peers);
 
   // Recalls every document this server has migrated out, notifying
@@ -162,7 +161,6 @@ class Server {
   load::GlobalLoadTable& glt() { return glt_; }
   storage::DocumentStore& store() { return store_; }
   migrate::CoopHostTable& coop_table() { return coop_table_; }
-  migrate::ReplicaTable& replica_table() { return replica_table_; }
   load::PingerPolicy& pinger() { return pinger_; }
   // The server's metric registry (counters, gauges, latency histograms;
   // schema in DESIGN.md "Observability").  Also rendered live at
@@ -194,7 +192,6 @@ class Server {
     uint64_t coop_fetches = 0;      // physical migrations + validations
     uint64_t migrations = 0;        // logical migrations committed
     uint64_t revocations = 0;
-    uint64_t replicas_added = 0;
     uint64_t pings_sent = 0;
     uint64_t internal_requests = 0;  // server-to-server requests served
     uint64_t stale_serves = 0;       // best-effort serves of cached bytes
@@ -229,9 +226,8 @@ class Server {
   http::Response HandleDcwsProfile(const std::string& query);
 
   // Regenerates a dirty document: rewrites hyperlinks whose targets
-  // migrated (or gained replicas) to their current URLs, stores the
-  // result as the document's new version and clears the dirty bit.
-  // Returns the stored version.
+  // migrated to their current URLs, stores the result as the document's
+  // new version and clears the dirty bit.  Returns the stored version.
   Result<storage::DocumentPtr> RegenerateDocument(const std::string& path);
 
   // Renders a document for transfer to another server: every internal
@@ -240,11 +236,13 @@ class Server {
   // Non-HTML documents transfer as the stored version itself.
   Result<storage::DocumentPtr> RenderForTransfer(const std::string& path);
 
-  // Chooses the URL a hyperlink to the migrated document `name`
-  // (currently placed at `location`) should carry right now — replica
-  // rotation happens here.
-  std::string LinkUrlFor(const std::string& name,
-                         const http::ServerAddress& location);
+  // Returns `page`'s HTML with every internal hyperlink at its target's
+  // current URL: a migrated target's ~migrate URL at its co-op, and
+  // `local_prefix` + path for a target still here ("" keeps links
+  // site-absolute; "http://<self>" makes them absolute).  Observes the
+  // parse/reconstruct histograms and counts one regeneration.
+  std::string RewriteInternalLinks(const storage::Document& page,
+                                   std::string_view local_prefix);
 
   // Maps a link occurrence back to the site path of one of OUR documents,
   // seeing through earlier rewrites: plain internal references, absolute
@@ -265,10 +263,9 @@ class Server {
                                       const http::ServerAddress& target,
                                       http::Request request);
 
-  // Recalls one migrated document: logical location back to self,
-  // replica set cleared, reachable holders told to revoke (addresses in
-  // `skip_notify` are not contacted).  Shared by the §4.5 revocation
-  // sweep and the membership-change paths.
+  // Recalls one migrated document: logical location back to self, and
+  // the co-op told to revoke unless it is in `skip_notify`.  Shared by
+  // the §4.5 revocation sweep and the membership-change paths.
   void RecallDocument(const std::string& doc, PeerClient* peers,
                       const std::vector<http::ServerAddress>& skip_notify)
       DCWS_REQUIRES(duty_mutex_);
@@ -300,7 +297,7 @@ class Server {
 
   // Concurrency map (see DESIGN.md "Concurrency model & checking"):
   // self_/clock_ are immutable after construction; store_, ldg_, glt_,
-  // coop_table_, replica_table_ and pinger_ are internally synchronized
+  // coop_table_ and pinger_ are internally synchronized
   // (each owns an annotated lock); registry_ and the trace rings are
   // internally synchronized, and the instrument handles below them are
   // set-once pointers to relaxed atomics (lock-free hot path);
@@ -317,7 +314,6 @@ class Server {
   graph::LocalDocumentGraph ldg_;
   load::GlobalLoadTable glt_;
   migrate::CoopHostTable coop_table_;
-  migrate::ReplicaTable replica_table_;
   load::PingerPolicy pinger_;
 
   // Serializes the periodic duties; also guards the policy object the
@@ -365,7 +361,6 @@ class Server {
   obs::Counter* ctr_migrations_out_ = nullptr;
   obs::Counter* ctr_migrations_in_ = nullptr;
   obs::Counter* ctr_revocations_ = nullptr;
-  obs::Counter* ctr_replicas_added_ = nullptr;
   obs::Counter* ctr_pings_sent_ = nullptr;
   obs::Counter* ctr_piggyback_absorbs_ = nullptr;
   obs::Histogram* hist_latency_client_ = nullptr;

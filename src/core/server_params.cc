@@ -9,10 +9,9 @@ std::string FormatTable1(const ServerParams& params) {
   auto seconds = [](MicroTime t) {
     return std::to_string(t / kMicrosPerSecond) + " seconds";
   };
-  os << "Number of front-end threads (N_fe):            "
-     << params.front_end_threads << "\n"
-     << "Number of pinger threads (N_pi):               "
-     << params.pinger_threads << "\n"
+  // N_fe and N_pi are fixed at 1 (see ServerParams).
+  os << "Number of front-end threads (N_fe):            1\n"
+     << "Number of pinger threads (N_pi):               1\n"
      << "Number of worker threads (N_wk):               "
      << params.worker_threads << "\n"
      << "Socket queue length (L_sq):                    "

@@ -12,10 +12,11 @@ namespace dcws::core {
 // Server configuration.  The first block is the paper's Table 1 with its
 // published default values; the second block holds policy knobs the paper
 // leaves implicit ("it is determined that a migration should occur").
+// Table 1's N_fe and N_pi are fixed at 1, not fields: a TCP host runs
+// one accept thread, and every host runs one duty (statistics + pinger)
+// thread.
 struct ServerParams {
   // ---- Table 1 ----
-  int front_end_threads = 1;                              // N_fe
-  int pinger_threads = 1;                                 // N_pi
   int worker_threads = 12;                                // N_wk
   int socket_queue_length = 100;                          // L_sq
   MicroTime stats_interval = 10 * kMicrosPerSecond;       // T_st
@@ -37,13 +38,7 @@ struct ServerParams {
   double revoke_imbalance_factor = 2.0;
   int pinger_max_failures = 3;
 
-  // ---- extensions (paper future work; off by default) ----
-  bool enable_replication = false;
-  // Add a replica when a co-op hosting our documents runs this much
-  // hotter than the group mean load.
-  double replicate_load_factor = 1.2;
-  int max_replicas = 8;
-
+  // ---- extensions (off by default) ----
   // Conditional revalidation: co-op validation sweeps send
   // If-None-Match so unchanged documents come back as an empty 304
   // instead of a full retransmission.  (Extension beyond the paper; its

@@ -204,19 +204,6 @@ Status LocalDocumentGraph::SetDirty(const std::string& name, bool dirty) {
   return Status::Ok();
 }
 
-Status LocalDocumentGraph::TouchLinkFrom(const std::string& name) {
-  MutexLock lock(mutex_);
-  auto it = records_.find(name);
-  if (it == records_.end()) {
-    return Status::NotFound("no record for " + name);
-  }
-  for (const std::string& from : it->second.link_from) {
-    auto from_it = records_.find(from);
-    if (from_it != records_.end()) from_it->second.dirty = true;
-  }
-  return Status::Ok();
-}
-
 std::vector<DocumentRecord> LocalDocumentGraph::Snapshot() const {
   MutexLock lock(mutex_);
   std::vector<DocumentRecord> out;

@@ -94,11 +94,6 @@ class LocalDocumentGraph {
 
   Status SetDirty(const std::string& name, bool dirty);
 
-  // Marks every document linking to `name` dirty without moving it —
-  // used when the set of replicas serving `name` changes and dependents
-  // must re-spread their hyperlinks.
-  Status TouchLinkFrom(const std::string& name);
-
   // Copies of all records (debugging, tests). O(n) including vectors.
   std::vector<DocumentRecord> Snapshot() const;
 
@@ -117,7 +112,7 @@ class LocalDocumentGraph {
   };
   std::vector<SelectionView> SelectionSnapshot() const;
 
-  // The currently-migrated documents (revocation / replication policy).
+  // The currently-migrated documents (revocation policy, recall).
   struct MigratedView {
     std::string name;
     http::ServerAddress location;

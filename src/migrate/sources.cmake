@@ -3,5 +3,4 @@ dcws_module(migrate
   selection.cc
   home_policy.cc
   coop_table.cc
-  replication.cc
 )

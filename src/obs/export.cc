@@ -103,7 +103,6 @@ std::string_view MetricHelp(std::string_view name) {
       {"dcws_migrations_total",
        "Logical migrations committed, by direction."},
       {"dcws_revocations_total", "Documents recalled home."},
-      {"dcws_replicas_total", "Replica placements added."},
       {"dcws_pings_total", "Pinger probes sent."},
       {"dcws_piggyback_absorbs_total",
        "Piggybacked load-info headers absorbed from peers."},

@@ -262,7 +262,6 @@ core::Server::Counters SimWorld::AggregateServerCounters() const {
     sum.coop_fetches += c.coop_fetches;
     sum.migrations += c.migrations;
     sum.revocations += c.revocations;
-    sum.replicas_added += c.replicas_added;
     sum.pings_sent += c.pings_sent;
     sum.internal_requests += c.internal_requests;
     sum.stale_serves += c.stale_serves;

@@ -307,12 +307,6 @@ bool ClusterHarness::SyncedNow() {
       if (!running_addresses.contains(view.location.ToString())) {
         return false;
       }
-      for (const auto& replica :
-           server.replica_table().Replicas(view.name)) {
-        if (!running_addresses.contains(replica.ToString())) {
-          return false;
-        }
-      }
     }
   }
   for (size_t i = 0; i < members_.size(); ++i) {

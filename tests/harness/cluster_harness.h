@@ -131,8 +131,8 @@ class ClusterHarness {
                MicroTime timeout = 0);
 
   // Cluster-wide convergence: every running member's migrated placements
-  // and replicas point at running members, and no running,
-  // un-partitioned pair considers each other down.
+  // point at running members, and no running, un-partitioned pair
+  // considers each other down.
   bool WaitSync();
 
   // Placement predicates against member `home`'s LDG.

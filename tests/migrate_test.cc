@@ -6,7 +6,6 @@
 #include "src/migrate/coop_table.h"
 #include "src/migrate/home_policy.h"
 #include "src/migrate/naming.h"
-#include "src/migrate/replication.h"
 #include "src/migrate/selection.h"
 
 namespace dcws::migrate {
@@ -364,38 +363,6 @@ TEST(CoopTableTest, FailedFetchKeepsPending) {
   EXPECT_FALSE(table.IsHosted(target));
   EXPECT_EQ(table.OnRequest(target, name, Seconds(2)),
             CoopHostTable::Action::kFetchFromHome);
-}
-
-// ------------------------------------------------------------ replicas
-
-TEST(ReplicaTableTest, AddRemoveRotate) {
-  ReplicaTable table;
-  EXPECT_FALSE(table.IsReplicated("/hot.gif"));
-  EXPECT_FALSE(table.PickReplica("/hot.gif").has_value());
-
-  EXPECT_TRUE(table.AddReplica("/hot.gif", kCoop1));
-  EXPECT_FALSE(table.AddReplica("/hot.gif", kCoop1));  // duplicate
-  EXPECT_TRUE(table.AddReplica("/hot.gif", kCoop2));
-  EXPECT_EQ(table.ReplicaCount("/hot.gif"), 2u);
-
-  // Round-robin across replicas.
-  EXPECT_EQ(table.PickReplica("/hot.gif").value(), kCoop1);
-  EXPECT_EQ(table.PickReplica("/hot.gif").value(), kCoop2);
-  EXPECT_EQ(table.PickReplica("/hot.gif").value(), kCoop1);
-
-  EXPECT_TRUE(table.RemoveReplica("/hot.gif", kCoop1));
-  EXPECT_EQ(table.ReplicaCount("/hot.gif"), 1u);
-  table.Clear("/hot.gif");
-  EXPECT_FALSE(table.IsReplicated("/hot.gif"));
-}
-
-TEST(ReplicaTableTest, RemovingLastReplicaClearsEntry) {
-  ReplicaTable table;
-  table.AddReplica("/x", kCoop1);
-  EXPECT_TRUE(table.RemoveReplica("/x", kCoop1));
-  EXPECT_FALSE(table.IsReplicated("/x"));
-  EXPECT_FALSE(table.RemoveReplica("/x", kCoop1));
-  EXPECT_EQ(table.size(), 0u);
 }
 
 }  // namespace

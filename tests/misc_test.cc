@@ -46,6 +46,8 @@ TEST(TablePrinterTest, NumFormatting) {
 TEST(ServerParamsTest, Table1FormatMatchesPaperValues) {
   core::ServerParams params;
   std::string table = core::FormatTable1(params);
+  EXPECT_NE(table.find("(N_fe):            1\n"), std::string::npos);
+  EXPECT_NE(table.find("(N_pi):               1\n"), std::string::npos);
   EXPECT_NE(table.find("(N_wk):               12"), std::string::npos);
   EXPECT_NE(table.find("(L_sq):                    100"),
             std::string::npos);

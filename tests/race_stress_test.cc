@@ -1,7 +1,7 @@
 // Concurrency stress suite, designed to run under ThreadSanitizer
 // (cmake -DDCWS_SANITIZE=thread): every shared table the paper's design
 // depends on — the GLT refreshed by piggyback headers and pinger
-// probes, the coop/replication tables consulted per request, the LDG
+// probes, the coop table consulted per request, the LDG
 // mutated by migration — is hammered from real threads in patterns that
 // give TSan genuine interleavings to inspect.  The tests also run (and
 // must pass) in plain builds; the assertions check liveness and
@@ -51,8 +51,6 @@ core::ServerParams StressParams() {
   params.validation_interval = Millis(200);
   params.selection.hit_threshold = 1;
   params.min_load_cps = 2;
-  params.enable_replication = true;
-  params.max_replicas = 2;
   params.conditional_validation = true;
   return params;
 }
@@ -209,36 +207,6 @@ TEST(RaceStressTest, GltConcurrentUpdatesKeepFreshestObservation) {
     EXPECT_EQ(entry.value().updated_at, 3000 + t)
         << peers[t].ToString();
   }
-}
-
-TEST(RaceStressTest, ReplicaTableConcurrentRotationStaysInSet) {
-  migrate::ReplicaTable table;
-  const std::string doc = "/hot.html";
-  std::vector<http::ServerAddress> coops = {
-      {"r0", 9000}, {"r1", 9000}, {"r2", 9000}};
-
-  std::atomic<int> escaped{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t]() {
-      Rng rng(29 * t + 3);
-      for (int i = 0; i < 3000; ++i) {
-        const auto& coop = coops[rng.NextBelow(coops.size())];
-        if (rng.NextBelow(4) == 0) {
-          (void)table.RemoveReplica(doc, coop);
-        } else {
-          (void)table.AddReplica(doc, coop);
-        }
-        auto pick = table.PickReplica(doc);
-        if (pick.has_value() &&
-            std::find(coops.begin(), coops.end(), *pick) == coops.end()) {
-          escaped.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(escaped.load(), 0) << "PickReplica returned a non-member";
 }
 
 // Responses share stored versions and write them to the socket after
@@ -417,7 +385,6 @@ TEST_F(ClusterStressTest, FullClusterUnderConcurrentDuties) {
       (void)home_.glt().Snapshot();
       (void)coop1_.coop_table().Snapshot();
       (void)coop1_.coop_table().HomeServers();
-      (void)home_.replica_table().Replicas("/i.gif");
       (void)home_.metrics().Snapshot();  // callback gauges read tables
       (void)home_.recent_traces().Snapshot();
       http::Request status;

@@ -514,96 +514,6 @@ TEST(ConditionalValidationTest, SweepUses304WhenEnabled) {
   EXPECT_NE(again.entity().find("payload"), std::string::npos);
 }
 
-// ---------------------------------------------------------- replication
-
-class ReplicationTest : public ::testing::Test {
- protected:
-  ReplicationTest() : clock_(Seconds(1)) {
-    ServerParams params = TestParams();
-    params.enable_replication = true;
-    params.replicate_load_factor = 2.0;
-    cluster_ = std::make_unique<Cluster>(4, params, &clock_);
-    std::vector<Document> site = {
-        Doc("/index.html",
-            "<img src=\"hot.jpg\"><a href=\"p1.html\">1</a>"
-            "<a href=\"p2.html\">2</a>"),
-        Doc("/p1.html", "<img src=\"hot.jpg\">"),
-        Doc("/p2.html", "<img src=\"hot.jpg\">"),
-        Doc("/hot.jpg", std::string(2000, 'J')),
-    };
-    EXPECT_TRUE(home().LoadSite(site, {"/index.html"}).ok());
-    cluster_->TickAll();
-  }
-
-  Server& home() { return cluster_->server(0); }
-  LoopbackNetwork& net() { return cluster_->network(); }
-
-  ManualClock clock_;
-  std::unique_ptr<Cluster> cluster_;
-};
-
-TEST_F(ReplicationTest, HotDocumentGainsReplicas) {
-  // Drive demand so /hot.jpg migrates.
-  for (int i = 0; i < 100; ++i) {
-    home().HandleRequest(Get("/hot.jpg"), &net());
-  }
-  clock_.Advance(Seconds(10));
-  cluster_->TickAll();
-  auto record = home().ldg().Lookup("/hot.jpg");
-  ASSERT_TRUE(record.ok());
-  ASSERT_FALSE(record->location == home().address())
-      << "hot image should have migrated";
-
-  // The co-op is now hammered (simulate via GLT): home should replicate.
-  clock_.Advance(Seconds(10));
-  home().glt().Update(record->location, 500.0, clock_.Now());
-  for (int i = 0; i < 30; ++i) {  // keep some demand at home
-    home().HandleRequest(Get("/index.html"), &net());
-  }
-  cluster_->TickAll();
-
-  EXPECT_GE(home().counters().replicas_added, 1u);
-  EXPECT_GE(home().replica_table().ReplicaCount("/hot.jpg"), 2u)
-      << "rotation set should include primary + new replica";
-
-  // Replicated documents are addressed at their HOME URL: regenerated
-  // pages link the plain path, and the home server spreads load by
-  // rotating 301s across the replica set (cheap redirects, §4.4, keep
-  // client caches effective).
-  auto fetch = [&](const std::string& path) -> http::Response {
-    http::Response resp = home().HandleRequest(Get(path), &net());
-    for (int hops = 0; resp.status_code == 301 && hops < 3; ++hops) {
-      auto url = http::Url::Parse(
-          std::string(resp.headers.Get("Location").value()));
-      EXPECT_TRUE(url.ok());
-      Server* host = net().Find({url->host, url->port});
-      EXPECT_NE(host, nullptr);
-      resp = host->HandleRequest(Get(url->path), &net());
-    }
-    return resp;
-  };
-  http::Response page = fetch("/p1.html");
-  ASSERT_EQ(page.status_code, 200);
-  // Either the plain path (served at home) or the absolute home URL
-  // (position-independent co-op copy) — never a ~migrate replica URL.
-  EXPECT_NE(page.entity().find("/hot.jpg\""), std::string::npos)
-      << "replicated image should be linked at its home URL: "
-      << page.entity();
-  EXPECT_EQ(page.entity().find("~migrate"), std::string::npos)
-      << "links must not pin one replica: " << page.entity();
-
-  // Successive requests for the hot document at home 301 to different
-  // replicas.
-  http::Response first = home().HandleRequest(Get("/hot.jpg"), &net());
-  http::Response second = home().HandleRequest(Get("/hot.jpg"), &net());
-  ASSERT_EQ(first.status_code, 301);
-  ASSERT_EQ(second.status_code, 301);
-  EXPECT_NE(first.headers.Get("Location").value(),
-            second.headers.Get("Location").value())
-      << "home should rotate redirects across replicas";
-}
-
-
 // ------------------------------------------------------- introspection
 
 TEST_F(ServerTest, DcwsStatusSpeaksThreeFormats) {

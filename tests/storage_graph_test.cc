@@ -159,12 +159,6 @@ TEST_F(LdgTest, SetLocationSamePlaceIsNoop) {
   EXPECT_FALSE(ldg_.Lookup("/B.html")->dirty);
 }
 
-TEST_F(LdgTest, TouchLinkFromDirtiesDependentsOnly) {
-  ASSERT_TRUE(ldg_.TouchLinkFrom("/C.html").ok());
-  EXPECT_TRUE(ldg_.Lookup("/A.html")->dirty);
-  EXPECT_FALSE(ldg_.Lookup("/B.html")->dirty);
-}
-
 TEST_F(LdgTest, StatsReflectGraph) {
   ASSERT_TRUE(ldg_.SetLocation("/D.html", coop_).ok());
   auto stats = ldg_.GetStats();
