@@ -14,7 +14,7 @@
 #include <thread>
 
 #include "src/core/server.h"
-#include "src/net/inproc.h"
+#include "src/net/tcp.h"
 #include "src/workload/browse.h"
 #include "src/workload/site.h"
 
@@ -74,10 +74,15 @@ int main() {
   std::printf("west hosts %zu documents, east hosts %zu\n",
               west.store().Count(), east.store().Count());
 
-  net::InprocNetwork network;
-  network.AddServer(&west);
-  network.AddServer(&east);
-  net::InprocFetcher fetcher(&network);
+  net::TcpNetwork network;
+  for (core::Server* server : {&west, &east}) {
+    if (auto host = network.AddServer(server); !host.ok()) {
+      std::printf("AddServer failed: %s\n",
+                  host.status().ToString().c_str());
+      return 1;
+    }
+  }
+  net::TcpFetcher fetcher(&network);
 
   // Morning in the west: a surge on the raster archive.
   workload::BrowsingClient west_crowd(

@@ -2,8 +2,8 @@
 // actual access logs for the experiments" (§6).  This example closes
 // that loop: it synthesizes a Common-Log-Format access log for the LOD
 // site (Zipf-skewed document popularity, the kind real logs exhibit),
-// then replays it through a threaded two-server DCWS group and reports
-// how the cluster redistributed the recorded load.
+// then replays it through a two-server DCWS group on loopback TCP and
+// reports how the cluster redistributed the recorded load.
 //
 //   ./build/examples/log_replay
 
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/core/server.h"
-#include "src/net/inproc.h"
+#include "src/net/tcp.h"
 #include "src/workload/access_log.h"
 #include "src/workload/site.h"
 
@@ -51,9 +51,14 @@ int main() {
     return 1;
   }
 
-  net::InprocNetwork network;
-  network.AddServer(&home);
-  network.AddServer(&coop);
+  net::TcpNetwork network;
+  for (core::Server* server : {&home, &coop}) {
+    if (auto host = network.AddServer(server); !host.ok()) {
+      std::printf("AddServer failed: %s\n",
+                  host.status().ToString().c_str());
+      return 1;
+    }
+  }
 
   // The home server writes its own access log as it serves the replay.
   uint64_t logged_lines = 0;

@@ -1,7 +1,7 @@
-// Quickstart: build a three-server DCWS group in this process, point a
-// browsing client at it, overload the home server, and watch a document
-// migrate — links rewritten, stale URLs redirected — all through the
-// public API.
+// Quickstart: build a three-server DCWS group on loopback TCP in this
+// process, point a browsing client at it, overload the home server, and
+// watch a document migrate — links rewritten, stale URLs redirected —
+// all through the public API.
 //
 //   ./build/examples/quickstart
 
@@ -9,7 +9,7 @@
 #include <thread>
 
 #include "src/core/server.h"
-#include "src/net/inproc.h"
+#include "src/net/tcp.h"
 #include "src/workload/browse.h"
 
 using namespace dcws;
@@ -60,15 +60,20 @@ int main() {
   std::printf("home LDG: %zu documents, %zu links, %zu entry points\n",
               stats.documents, stats.links, stats.entry_points);
 
-  // 3. Threaded transport: each server gets 12 worker threads and a
-  //    statistics/pinger duty thread.
-  net::InprocNetwork network;
-  network.AddServer(&home);
-  network.AddServer(&coop1);
-  network.AddServer(&coop2);
+  // 3. One TCP host per server on an ephemeral 127.0.0.1 port: an
+  //    accept thread, 12 worker threads and a statistics/pinger duty
+  //    thread each.
+  net::TcpNetwork network;
+  for (core::Server* server : {&home, &coop1, &coop2}) {
+    if (auto host = network.AddServer(server); !host.ok()) {
+      std::printf("AddServer failed: %s\n",
+                  host.status().ToString().c_str());
+      return 1;
+    }
+  }
 
   // 4. Browse hard enough that the home server wants help.
-  net::InprocFetcher fetcher(&network);
+  net::TcpFetcher fetcher(&network);
   workload::BrowsingClient client(
       {http::Url{"alpha", 8001, "/index.html"}}, /*seed=*/7);
   for (int i = 0; i < 400; ++i) client.RunWalk(fetcher);
@@ -82,7 +87,7 @@ int main() {
               "regenerated %llu pages\n",
               (unsigned long long)counters.served_local,
               (unsigned long long)counters.migrations,
-              (unsigned long long)counters.redirects);
+              (unsigned long long)counters.regenerations);
   for (const auto& record : home.ldg().Snapshot()) {
     std::printf("  %-16s at %s%s\n", record.name.c_str(),
                 record.location.ToString().c_str(),

@@ -14,7 +14,7 @@ namespace dcws::core {
 
 // Zero-latency synchronous dispatch between servers in one process.
 // Used directly by unit/integration tests and wrapped by the simulator
-// (which adds modelled costs) and by the in-process threaded transport.
+// (which adds modelled costs).
 // Supports failure injection: a server marked down is unreachable, which
 // is how crash-consistency tests exercise §4.5.
 class LoopbackNetwork : public PeerClient {

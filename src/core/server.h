@@ -31,8 +31,8 @@
 
 namespace dcws::core {
 
-// Server-to-server transport hook.  The in-process cluster implements it
-// with blocking queue round-trips on real threads; the simulator
+// Server-to-server transport hook.  The TCP network implements it with
+// blocking HTTP/1.0 exchanges over loopback sockets; the simulator
 // implements it by invoking the target server directly and charging the
 // modelled resources.
 class PeerClient {
@@ -112,7 +112,7 @@ class Server {
   // Called by transports when they shed a connection with 503 BEFORE it
   // reaches HandleRequest (socket queue full), so the registry's
   // request-outcome counters still add up to what clients observed.
-  // When the transport already parsed the request (inproc, sim), pass
+  // When the transport already parsed the request (the simulator), pass
   // it so the kQueueDrop journal event records the shed target and any
   // X-DCWS-Trace id; TCP drops happen before parsing and pass nullptr.
   void CountQueueDrop(const http::Request* request = nullptr);

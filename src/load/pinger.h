@@ -21,7 +21,7 @@ namespace dcws::load {
 //
 // This class is pure policy — the owning server performs the actual
 // probes — so the same code drives the simulator's virtual pinger and
-// the in-process cluster's real pinger thread.
+// a TCP host's real pinger thread.
 //
 // Thread-safe.  Although the probe loop runs on one duty thread,
 // RecordProbeResult is also called from every WORKER thread: absorbing a

@@ -1,5 +1,4 @@
 dcws_module(net
-  inproc.cc
   socket_util.cc
   tcp.cc
 )

@@ -99,7 +99,6 @@ void TcpServerHost::AcceptLoop() {
       continue;
     }
     Socket conn(fd);
-    accepted_.fetch_add(1);
     bool enqueued = false;
     {
       MutexLock lock(mutex_);
@@ -118,7 +117,6 @@ void TcpServerHost::AcceptLoop() {
       // 503 write and the journal emit happen outside mutex_ — a slow
       // client reading its rejection must not stall the accept path or
       // the workers draining the queue.
-      dropped_.fetch_add(1);
       server_->CountQueueDrop(nullptr);
       (void)WriteResponse(conn, http::MakeOverloadedResponse());
       continue;

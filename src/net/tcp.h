@@ -1,7 +1,6 @@
 #ifndef DCWS_NET_TCP_H_
 #define DCWS_NET_TCP_H_
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <thread>
@@ -41,9 +40,6 @@ class TcpServerHost {
   core::Server& server() { return *server_; }
   uint16_t port() const { return port_; }
 
-  uint64_t accepted() const { return accepted_.load(); }
-  uint64_t dropped() const { return dropped_.load(); }
-
  private:
   TcpServerHost(core::Server* server, TcpNetwork* network);
 
@@ -81,8 +77,6 @@ class TcpServerHost {
   std::vector<std::thread> workers_;
   // dcws-lint: allow(guarded-by): see accept_thread_
   std::thread duty_thread_;
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> dropped_{0};
 };
 
 // Owns a group of TCP hosts and the name registry that maps DCWS server

@@ -27,7 +27,7 @@ namespace dcws::obs {
 // snake_case with a dcws_ prefix and a unit or _total suffix
 // (dcws_requests_total, dcws_request_latency_us); variants of one
 // logical metric are labels, not name suffixes
-// (dcws_requests_total{outcome="redirect"}).  Real (TCP/in-process) and
+// (dcws_requests_total{outcome="redirect"}).  Real (TCP) and
 // simulated servers register the identical schema, so dashboards and
 // bench JSON dumps are comparable across drivers.
 

@@ -25,15 +25,15 @@ constexpr double ToSeconds(MicroTime t) {
 
 // Abstract time source.  Core server logic (statistics windows, migration
 // rate limits, validation timeouts) reads time through a Clock so that the
-// same code runs against wall time (in-process cluster) and virtual time
-// (discrete-event simulator).
+// same code runs against wall time (TCP hosts, loopback tests) and
+// virtual time (discrete-event simulator).
 class Clock {
  public:
   virtual ~Clock() = default;
   virtual MicroTime Now() const = 0;
 };
 
-// Wall-clock time (monotonic), for the threaded in-process cluster.
+// Wall-clock time (monotonic), for the threaded TCP hosts.
 class WallClock : public Clock {
  public:
   MicroTime Now() const override {

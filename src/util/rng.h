@@ -12,7 +12,7 @@ namespace dcws {
 // generators, Algorithm 2 clients, tie-breaking — draws from an Rng so
 // that a (seed, configuration) pair reproduces a run bit-for-bit.
 //
-// Not thread-safe; each thread of the in-process cluster owns its own Rng.
+// Not thread-safe; each client or test thread owns its own Rng.
 class Rng {
  public:
   explicit Rng(uint64_t seed);

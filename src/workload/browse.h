@@ -45,7 +45,7 @@ std::optional<http::Url> PickRandom(const std::vector<http::Url>& urls,
 
 // --- Synchronous Algorithm 2 client ----------------------------------
 
-// Transport used by the client; the in-process cluster and the examples
+// Transport used by the client; net::TcpFetcher and test doubles
 // provide implementations.
 class Fetcher {
  public:

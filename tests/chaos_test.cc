@@ -1,13 +1,14 @@
-// Chaos suite: failure injection against a live threaded cluster,
-// built on tests/harness/cluster_harness.h.  Each scenario drives real
-// client load, injects a fault (crash, restart, pinger partition,
-// membership change), and asserts the §4.5 consistency story — recall
-// of crashed co-ops' documents, T_val-driven revalidation after a home
-// restart, best-effort stale serves, and re-homing of traffic — using
-// polling predicates over server state, the /.dcws/status JSON
-// endpoint, and X-DCWS-Trace ids.  There are deliberately no sleeps in
-// any assertion path, so the suite is timing-robust under TSan on a
-// single core (run `tools/dcws_chaos.sh` for the repeated-run gate).
+// Chaos suite: failure injection against a live cluster of TCP hosts
+// on loopback, built on tests/harness/cluster_harness.h.  Each scenario
+// drives real client load, injects a fault (crash, restart, pinger
+// partition, membership change), and asserts the §4.5 consistency
+// story — recall of crashed co-ops' documents, T_val-driven
+// revalidation after a home restart, best-effort stale serves, and
+// re-homing of traffic — using polling predicates over server state,
+// the /.dcws/status JSON endpoint, and X-DCWS-Trace ids.  There are
+// deliberately no sleeps in any assertion path, so the suite is
+// timing-robust under TSan on a single core (run `tools/dcws_chaos.sh`
+// for the repeated-run gate).
 //
 // On failure, each test dumps every member's metrics and trace rings to
 // $DCWS_CHAOS_ARTIFACTS (the chaos CI job uploads that directory).
@@ -93,15 +94,12 @@ class ChaosTest : public ::testing::Test {
     }
   }
 
- public:
-  // Public so scenario helpers shared between TEST_Fs can build the
-  // harness through the fixture (artifact dumping on failure included).
+  // Builds the harness through the fixture, so a failing test dumps it.
   ClusterHarness& Make(ClusterHarness::Options options = {}) {
     harness_ = std::make_unique<ClusterHarness>(std::move(options));
     return *harness_;
   }
 
- protected:
   static ClusterHarness::Options TwoNodes() {
     ClusterHarness::Options options;
     options.servers = 2;
@@ -140,7 +138,7 @@ TEST_F(ChaosTest, CoopCrashMidMigrationRecalls) {
   ASSERT_TRUE(h.WaitMigrated(0, "/i.gif"));
   // Abrupt kill while the client load (and any in-flight co-op fetch)
   // is still running against it.
-  h.StopServer(1, ClusterHarness::StopMode::kAbrupt);
+  h.StopServer(1);
 
   ASSERT_TRUE(h.WaitPeerDown(0, 1));
   ASSERT_TRUE(h.WaitRecall(0, "/i.gif"));
@@ -177,7 +175,7 @@ TEST_F(ChaosTest, HomeRestartRevalidates) {
   stop.store(true);
   client.join();
 
-  h.StopServer(0, ClusterHarness::StopMode::kAbrupt);
+  h.StopServer(0);
 
   // Best-effort stale serves: once validation is overdue the co-op's
   // refetch fails, but the cached bytes still go out as 200s.
@@ -334,10 +332,10 @@ TEST_F(ChaosTest, PeerFlappingWithinValidationWindowConverges) {
   // 3 x T_pi the pinger needs to declare it down — and once long
   // enough that it may be declared down, so both interleavings run.
   for (int flap = 0; flap < 4; ++flap) {
-    h.StopServer(1, ClusterHarness::StopMode::kAbrupt);
+    h.StopServer(1);
     h.StartServer(1);
   }
-  h.StopServer(1, ClusterHarness::StopMode::kAbrupt);
+  h.StopServer(1);
   ASSERT_TRUE(h.WaitPeerDown(0, 1));
   h.StartServer(1);
 
@@ -395,15 +393,15 @@ TEST_F(ChaosTest, RecallRacesInFlightMigrationFetches) {
 }
 
 // ---------------------------------------------------------------------
-// Graceful drain versus abrupt stop, and restart over surviving state.
+// A stopped member refuses new work, and restarts over surviving state.
 // ---------------------------------------------------------------------
-TEST_F(ChaosTest, DrainStopsAcceptingAndRestartRecovers) {
+TEST_F(ChaosTest, StopRefusesNewWorkAndRestartRecovers) {
   ClusterHarness& h = Make(TwoNodes());
   LoadSite(h);
 
-  h.StopServer(1, ClusterHarness::StopMode::kDrain);
+  h.StopServer(1);
   auto refused = h.Get(1, "/index.html");
-  EXPECT_FALSE(refused.ok()) << "drained server must refuse new work";
+  EXPECT_FALSE(refused.ok()) << "stopped server must refuse new work";
 
   h.StartServer(1);
   ASSERT_TRUE(h.WaitFor([&]() {
@@ -414,13 +412,11 @@ TEST_F(ChaosTest, DrainStopsAcceptingAndRestartRecovers) {
 }
 
 // ---------------------------------------------------------------------
-// The same crash-and-recall story over the real TCP transport: the
-// harness is transport-agnostic, so the §4.5 behavior must be too.
+// Crash and recall with no redirect-chasing client (DriveUntil's plain
+// GETs drive the migration), then a restart on the original port.
 // ---------------------------------------------------------------------
 TEST_F(ChaosTest, TcpTransportCrashRecall) {
-  ClusterHarness::Options options = TwoNodes();
-  options.transport = ClusterHarness::Transport::kTcp;
-  ClusterHarness& h = Make(options);
+  ClusterHarness& h = Make(TwoNodes());
   LoadSite(h);
 
   ASSERT_TRUE(h.DriveUntil(0, {"/i.gif"}, [&]() {
@@ -428,7 +424,7 @@ TEST_F(ChaosTest, TcpTransportCrashRecall) {
     return brief.ok() && !(brief->location == h.address(0));
   }));
 
-  h.StopServer(1, ClusterHarness::StopMode::kAbrupt);
+  h.StopServer(1);
   ASSERT_TRUE(h.WaitPeerDown(0, 1));
   ASSERT_TRUE(h.WaitRecall(0, "/i.gif"));
 
@@ -450,15 +446,10 @@ TEST_F(ChaosTest, TcpTransportCrashRecall) {
 // decision trail MigrationDecided (home, with the GLT snapshot that
 // justified it) -> MigrationApplied (co-op, physical arrival) ->
 // Recall (home, peer-down cause), causally ordered by the shared
-// wall-clock timestamps.  Run on both transports — the journal is
-// transport-agnostic core state.
+// wall-clock timestamps.
 // ---------------------------------------------------------------------
-void RunEventSequenceCrashMidMigration(
-    ChaosTest* fixture, ClusterHarness::Transport transport) {
-  ClusterHarness::Options options;
-  options.servers = 2;
-  options.transport = transport;
-  ClusterHarness& h = fixture->Make(options);
+TEST_F(ChaosTest, EventSequenceCrashMidMigration) {
+  ClusterHarness& h = Make(TwoNodes());
   LoadSite(h);
   const std::string home = h.address(0).ToString();
   const std::string coop = h.address(1).ToString();
@@ -501,7 +492,7 @@ void RunEventSequenceCrashMidMigration(
   //    recall event names the crashed peer and the peer-down cause.
   stop.store(true);
   client.join();
-  h.StopServer(1, ClusterHarness::StopMode::kAbrupt);
+  h.StopServer(1);
   ASSERT_TRUE(h.WaitPeerDown(0, 1));
   auto recall = h.WaitEvent(
       0, obs::EventType::kRecall,
@@ -521,16 +512,6 @@ void RunEventSequenceCrashMidMigration(
                   .has_value());
 }
 
-TEST_F(ChaosTest, EventSequenceCrashMidMigrationInproc) {
-  RunEventSequenceCrashMidMigration(
-      this, ClusterHarness::Transport::kInproc);
-}
-
-TEST_F(ChaosTest, EventSequenceCrashMidMigrationTcp) {
-  RunEventSequenceCrashMidMigration(this,
-                                    ClusterHarness::Transport::kTcp);
-}
-
 // ---------------------------------------------------------------------
 // The decided-but-never-applied signature: when the co-op crashes (or
 // never sees demand) before its first fetch, the merged timeline shows
@@ -547,7 +528,7 @@ TEST_F(ChaosTest, DecidedWithoutAppliedMarksCrashMidMigration) {
     return h.FindEvent(0, obs::EventType::kMigrationDecided)
         .has_value();
   }));
-  h.StopServer(1, ClusterHarness::StopMode::kAbrupt);
+  h.StopServer(1);
   ASSERT_TRUE(h.WaitPeerDown(0, 1));
   auto recall = h.WaitEvent(0, obs::EventType::kRecall);
   ASSERT_TRUE(recall.has_value()) << h.DumpStatus();
@@ -564,7 +545,7 @@ TEST_F(ChaosTest, DecidedWithoutAppliedMarksCrashMidMigration) {
 }
 
 // ---------------------------------------------------------------------
-// JSONL mirror (DCWS_EVENT_LOG): stopping the transports must leave a
+// JSONL mirror (DCWS_EVENT_LOG): stopping the hosts must leave a
 // fully flushed file in which every line — written concurrently by
 // both members' journals through the shared appender — parses as one
 // complete JSON object.  A torn or buffered-but-lost line here is
@@ -609,10 +590,11 @@ TEST_F(ChaosTest, EventLogMirrorFlushesParseableJsonl) {
       return h.FindEvent(0, obs::EventType::kMigrationDecided)
           .has_value();
     }));
-    // Drain-stop both members: the transports' Stop paths flush the
-    // mirror, so everything emitted is on disk when these return.
-    h.StopServer(0, ClusterHarness::StopMode::kDrain);
-    h.StopServer(1, ClusterHarness::StopMode::kDrain);
+    // Stop both members: TcpServerHost::Stop flushes the mirror once
+    // its threads are joined, so everything emitted is on disk when
+    // these return.
+    h.StopServer(0);
+    h.StopServer(1);
   }
   ::unsetenv("DCWS_EVENT_LOG");
 

@@ -26,81 +26,17 @@ std::pair<std::string, std::string> PartitionKey(
   return sa < sb ? std::make_pair(sa, sb) : std::make_pair(sb, sa);
 }
 
+// Starting a host binds a loopback port, the one harness step that can
+// fail; a member without a host would void every later assertion.
+void CheckHost(const Result<net::TcpServerHost*>& host, const char* step,
+               const http::ServerAddress& address) {
+  if (host.ok()) return;
+  DCWS_LOG(kError) << step << " failed for " << address.ToString() << ": "
+                   << host.status().ToString();
+  std::abort();
+}
+
 }  // namespace
-
-// ---------------------------------------------------------------------
-// Transport adapters: the only transport-specific code in the harness.
-// ---------------------------------------------------------------------
-
-struct ClusterHarness::TransportAdapter {
-  virtual ~TransportAdapter() = default;
-  virtual void Add(core::Server* server) = 0;
-  virtual void Start(core::Server* server) = 0;
-  virtual void Stop(core::Server* server, StopMode mode) = 0;
-  virtual void Remove(core::Server* server) = 0;
-  virtual core::PeerClient& client() = 0;
-};
-
-struct ClusterHarness::InprocAdapter : ClusterHarness::TransportAdapter {
-  void Add(core::Server* server) override {
-    network.AddServer(server);
-  }
-  void Start(core::Server* server) override {
-    net::InprocServerHost* host = network.Find(server->address());
-    if (host != nullptr) host->Start();
-  }
-  void Stop(core::Server* server, StopMode mode) override {
-    net::InprocServerHost* host = network.Find(server->address());
-    if (host == nullptr) return;
-    if (mode == StopMode::kDrain) {
-      host->Drain();
-    } else {
-      host->Stop();
-    }
-  }
-  void Remove(core::Server* server) override {
-    network.RemoveServer(server->address());
-  }
-  core::PeerClient& client() override { return network; }
-
-  net::InprocNetwork network;
-};
-
-struct ClusterHarness::TcpAdapter : ClusterHarness::TransportAdapter {
-  void Add(core::Server* server) override {
-    auto host = network.AddServer(server);
-    if (!host.ok()) {
-      DCWS_LOG(kError) << "tcp AddServer failed for "
-                      << server->address().ToString() << ": "
-                      << host.status().ToString();
-      std::abort();
-    }
-  }
-  void Start(core::Server* server) override {
-    auto host = network.StartServer(server);
-    if (!host.ok()) {
-      DCWS_LOG(kError) << "tcp StartServer failed for "
-                      << server->address().ToString() << ": "
-                      << host.status().ToString();
-      std::abort();
-    }
-  }
-  void Stop(core::Server* server, StopMode) override {
-    // The TCP host has no drain: queued connections are closed (the
-    // client sees a reset), in-flight requests complete.
-    network.StopServer(server->address());
-  }
-  void Remove(core::Server* server) override {
-    network.RemoveServer(server->address());
-  }
-  core::PeerClient& client() override { return network; }
-
-  net::TcpNetwork network;
-};
-
-// ---------------------------------------------------------------------
-// ClusterHarness
-// ---------------------------------------------------------------------
 
 core::ServerParams ClusterHarness::ChaosParams() {
   core::ServerParams params;
@@ -124,30 +60,12 @@ ClusterHarness::ClusterHarness(Options options)
     : options_(std::move(options)),
       trace_ids_(obs::SeedFromName("cluster-harness")),
       next_port_(options_.base_port) {
-  switch (options_.transport) {
-    case Transport::kInproc:
-      transport_ = std::make_unique<InprocAdapter>();
-      break;
-    case Transport::kTcp:
-      transport_ = std::make_unique<TcpAdapter>();
-      break;
-  }
   for (int i = 0; i < options_.servers; ++i) AddMember();
 }
 
 ClusterHarness::~ClusterHarness() {
   // Stop hosts before the Server objects they point at go away.
-  for (size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i].running) {
-      transport_->Stop(members_[i].server.get(), StopMode::kAbrupt);
-    }
-  }
-  transport_.reset();
-  members_.clear();
-}
-
-core::PeerClient& ClusterHarness::network() {
-  return transport_->client();
+  network_.StopAll();
 }
 
 void ClusterHarness::AddMember() {
@@ -160,19 +78,20 @@ void ClusterHarness::AddMember() {
     member.server->RegisterPeer(address);
     server->RegisterPeer(member.server->address());
   }
-  transport_->Add(server.get());
+  CheckHost(network_.AddServer(server.get()), "AddServer", address);
   members_.push_back(Member{std::move(server), true});
 }
 
 void ClusterHarness::StartServer(size_t i) {
   if (members_[i].running) return;
-  transport_->Start(members_[i].server.get());
+  CheckHost(network_.StartServer(members_[i].server.get()), "StartServer",
+            address(i));
   members_[i].running = true;
 }
 
-void ClusterHarness::StopServer(size_t i, StopMode mode) {
+void ClusterHarness::StopServer(size_t i) {
   if (!members_[i].running) return;
-  transport_->Stop(members_[i].server.get(), mode);
+  network_.StopServer(address(i));
   members_[i].running = false;
 }
 
@@ -199,13 +118,13 @@ void ClusterHarness::RemoveServer(size_t i) {
   // Re-homing protocol, same order as core::Cluster::RemoveServer: the
   // victim's own placements come home first (so co-ops elsewhere drop
   // their entries), then every survivor recalls what it placed on the
-  // victim and forgets it, then the transport host goes away.
-  if (members_[i].running) victim->RecallAll(&network());
+  // victim and forgets it, then the host goes away.
+  if (members_[i].running) victim->RecallAll(&network_);
   for (size_t j = 0; j < members_.size(); ++j) {
     if (j == i) continue;
-    members_[j].server->ForgetPeer(victim_address, &network());
+    members_[j].server->ForgetPeer(victim_address, &network_);
   }
-  transport_->Remove(victim);
+  network_.RemoveServer(victim_address);
   // Drop any partition bookkeeping that involved the victim.
   for (auto it = partitions_.begin(); it != partitions_.end();) {
     if (it->first == victim_address.ToString() ||
@@ -223,7 +142,7 @@ Result<http::Response> ClusterHarness::Get(size_t i,
   http::Request request;
   request.method = "GET";
   request.target = target;
-  return network().Execute(address(i), request);
+  return network_.Execute(address(i), request);
 }
 
 ClusterHarness::TracedGet ClusterHarness::GetTraced(
@@ -235,7 +154,7 @@ ClusterHarness::TracedGet ClusterHarness::GetTraced(
   request.target = target;
   request.headers.Set(std::string(http::kHeaderDcwsTrace),
                       obs::FormatTraceId(traced.id));
-  traced.response = network().Execute(address(i), request);
+  traced.response = network_.Execute(address(i), request);
   return traced;
 }
 

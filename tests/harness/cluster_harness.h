@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/core/server.h"
-#include "src/net/inproc.h"
 #include "src/net/tcp.h"
 #include "src/obs/events.h"
 #include "src/obs/trace.h"
@@ -18,15 +17,15 @@
 
 namespace dcws::test {
 
-// A live DCWS cluster behind the transport-agnostic core::Server
-// interface, owned by a test fixture.  Every member runs with real
-// threads (worker pool + duty thread) on the chosen transport, and the
-// harness provides the fault injectors and convergence predicates the
-// chaos suite is built from:
+// A live DCWS cluster owned by a test fixture.  Every member is a
+// net::TcpServerHost on a loopback port (accept thread, bounded socket
+// queue, worker pool, duty thread), all members share one
+// net::TcpNetwork, and the harness provides the fault injectors and
+// convergence predicates the chaos suite is built from:
 //
-//   StartServer / StopServer   crash-restart a member (abrupt kill or
-//                              graceful drain); its Server state — the
-//                              durable document store — survives.
+//   StartServer / StopServer   crash-restart a member on its original
+//                              port; its Server state — the durable
+//                              document store — survives.
 //   PartitionPinger            sever the liveness channel between two
 //                              members while data traffic still flows
 //                              (probe results forced to failure).
@@ -43,21 +42,16 @@ namespace dcws::test {
 // is timing-robust under sanitizers and single-core machines.
 class ClusterHarness {
  public:
-  enum class Transport { kInproc, kTcp };
-  enum class StopMode {
-    kAbrupt,  // queued requests fail; a crash ate them
-    kDrain,   // new requests refused, queued requests served, then stop
-  };
-
   // Aggressive intervals so migration / pinger / validation cycles all
   // complete within a test: T_st 50ms, T_pi 100ms, T_val 200ms,
   // hit_threshold 1, min_load_cps 2.
   static core::ServerParams ChaosParams();
 
   struct Options {
-    Transport transport = Transport::kInproc;
     int servers = 3;
     core::ServerParams params = ChaosParams();
+    // Members are named <host_prefix><n>:<base_port + n - 1>; the names
+    // resolve through the network's registry to ephemeral loopback ports.
     std::string host_prefix = "node";
     uint16_t base_port = 9101;
     // Deadline for every Wait* predicate.  Generous on purpose: a
@@ -78,19 +72,18 @@ class ClusterHarness {
   const http::ServerAddress& address(size_t i) const {
     return members_[i].server->address();
   }
-  core::PeerClient& network();
+  net::TcpNetwork& network() { return network_; }
   bool running(size_t i) const { return members_[i].running; }
   const core::ServerParams& params() const { return options_.params; }
 
   // ---- lifecycle ----
-  // Restarts a stopped member's transport host against its surviving
-  // Server state (a process restart over a durable store).
+  // Restarts a stopped member's host on its original port, against its
+  // surviving Server state (a process restart over a durable store).
   void StartServer(size_t i);
-  // Stops member i's transport host.  kAbrupt kills it mid-queue;
-  // kDrain refuses new work and serves out the queue first (on the TCP
-  // transport a drain behaves like an abrupt stop: queued connections
-  // are closed, in-flight requests still complete).
-  void StopServer(size_t i, StopMode mode = StopMode::kAbrupt);
+  // Crash-kills member i's host: queued connections are closed,
+  // in-flight requests complete, and dials are refused (Unavailable)
+  // until StartServer.
+  void StopServer(size_t i);
 
   // Severs the liveness channel between members i and j, both
   // directions: every probe/piggyback/fetch outcome each records about
@@ -103,8 +96,8 @@ class ClusterHarness {
   size_t AddServer();
   // Removes member i from the running group with document re-homing:
   // the victim recalls its own migrated documents, the survivors recall
-  // documents they placed on it and forget it, and its transport host
-  // is unregistered.  Later members shift down one index.
+  // documents they placed on it and forget it, and its host is stopped
+  // and its name unregistered.  Later members shift down one index.
   void RemoveServer(size_t i);
 
   // ---- request helpers ----
@@ -154,7 +147,7 @@ class ClusterHarness {
   // ---- event-journal predicates ----
   // Member i's event journal (events with seq > since, oldest first),
   // read directly.  Works on stopped members too: the journal lives in
-  // the Server, which survives a transport crash — that is exactly the
+  // the Server, which survives a host crash — that is exactly the
   // state a post-mortem assertion needs.
   std::vector<obs::Event> Events(size_t i, uint64_t since = 0) const;
   // Oldest event of `type` in member i's journal that satisfies `match`
@@ -192,12 +185,6 @@ class ClusterHarness {
     bool running = false;
   };
 
-  // The transport-specific sliver: everything else goes through
-  // core::Server and core::PeerClient.
-  struct TransportAdapter;
-  struct InprocAdapter;
-  struct TcpAdapter;
-
   void AddMember();
   bool Partitioned(size_t i, size_t j) const;
   bool SyncedNow();
@@ -207,7 +194,7 @@ class ClusterHarness {
   obs::TraceIdGenerator trace_ids_;
   std::vector<Member> members_;
   std::set<std::pair<std::string, std::string>> partitions_;
-  std::unique_ptr<TransportAdapter> transport_;
+  net::TcpNetwork network_;
   uint16_t next_port_;
   int next_name_ = 1;
 };

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "src/net/tcp.h"
+#include "src/obs/export.h"
 #include "src/storage/fs.h"
 #include "src/workload/browse.h"
 
@@ -286,11 +287,30 @@ TEST_F(TcpTest, FetcherWalksOverSockets) {
   EXPECT_EQ(client.stats().failures, 0u);
 }
 
-// ------------------------------------------------------- fs round trip
+TEST_F(TcpTest, StoppedServerIsUnavailableUntilRestarted) {
+  ASSERT_TRUE(network_.StopServer(coop_.address()));
+  EXPECT_FALSE(network_.StopServer(coop_.address())) << "already stopped";
+  // The name still resolves, so the dial is refused: a crashed machine.
+  auto refused = network_.Execute(coop_.address(), Get("/anything"));
+  EXPECT_TRUE(refused.status().IsUnavailable()) << refused.status();
+
+  auto restarted = network_.StartServer(&coop_);
+  ASSERT_TRUE(restarted.ok()) << restarted.status();
+  EXPECT_EQ((*restarted)->port(), coop_port_);
+  auto response = network_.Execute(coop_.address(), Get("/anything"));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->status_code, 404);
+}
+
+TEST_F(TcpTest, StopAllIsIdempotentAndFinal) {
+  network_.StopAll();
+  network_.StopAll();
+  auto response = network_.Execute(home_.address(), Get("/deep.html"));
+  EXPECT_FALSE(response.ok());
+}
 
 TEST(TcpHistoryTest, RingFillsOverSockets) {
-  // Same acceptance check as the in-process transport, over the wire:
-  // the duty thread's sampler (50 ms interval; a dedicated server so
+  // The duty thread's sampler (50 ms interval; a dedicated server so
   // the fast sampler doesn't load the shared fixture) must yield >= 2
   // samples.
   WallClock clock;
@@ -327,6 +347,115 @@ TEST(TcpHistoryTest, RingFillsOverSockets) {
       << body;
   EXPECT_NE(body.find("],["), std::string::npos) << body;
 }
+
+TEST(TcpBacklogTest, OverflowDrops503) {
+  // One worker behind a two-deep socket queue, slammed concurrently:
+  // the accept thread sheds the overflow with 503s (§5.2), and the
+  // registry counts every shed a client saw.  Overflowing the listen
+  // backlog as well retransmits SYNs, so this takes about two seconds.
+  WallClock clock;
+  core::ServerParams params = FastParams();
+  params.worker_threads = 1;
+  params.socket_queue_length = 2;
+  core::Server server({"tcp-solo", 8100}, params, &clock);
+  ASSERT_TRUE(
+      server.LoadSite({Doc("/x.html", std::string(200'000, 'x'))}, {})
+          .ok());
+  TcpNetwork network;
+  ASSERT_TRUE(network.AddServer(&server).ok());
+
+  std::atomic<int> shed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 16; ++t) {
+    threads.emplace_back([&]() {
+      for (int i = 0; i < 20; ++i) {
+        http::Request request;
+        request.target = "/x.html";
+        auto response = network.Execute(server.address(), request);
+        if (response.ok() && response->status_code == 503) ++shed;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  network.StopAll();
+  EXPECT_GT(shed.load(), 0) << "a full socket queue should shed load";
+  auto snapshot = server.metrics().Snapshot();
+  const obs::MetricSnapshot* dropped = obs::FindMetric(
+      snapshot, "dcws_requests_total", {{"outcome", "dropped"}});
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_GE(dropped->value, shed.load());
+}
+
+// Acceptance check for the introspection endpoint: a three-server TCP
+// group answers /.dcws/status?format=prometheus on every member with
+// the full request-outcome counter family and derived latency
+// quantiles.
+TEST(TcpStatusTest, PrometheusScrapeOnThreeServerCluster) {
+  WallClock clock;
+  core::ServerParams params = FastParams();
+  core::Server alpha({"alpha", 9201}, params, &clock);
+  core::Server beta({"beta", 9202}, params, &clock);
+  core::Server gamma({"gamma", 9203}, params, &clock);
+  std::vector<core::Server*> group = {&alpha, &beta, &gamma};
+  for (core::Server* a : group) {
+    for (core::Server* b : group) {
+      if (a != b) a->RegisterPeer(b->address());
+    }
+  }
+  ASSERT_TRUE(alpha
+                  .LoadSite({Doc("/index.html", "<a href=\"a.html\">a</a>"),
+                             Doc("/a.html", "<p>a</p>")},
+                            {"/index.html"})
+                  .ok());
+  TcpNetwork network;
+  for (core::Server* server : group) {
+    ASSERT_TRUE(network.AddServer(server).ok());
+  }
+
+  for (int i = 0; i < 10; ++i) {
+    http::Request request;
+    request.target = (i % 2 == 0) ? "/a.html" : "/nope.html";
+    ASSERT_TRUE(network.Execute(alpha.address(), request).ok());
+  }
+
+  for (core::Server* server : group) {
+    http::Request scrape;
+    scrape.target = "/.dcws/status?format=prometheus";
+    auto response = network.Execute(server->address(), scrape);
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response->status_code, 200);
+    const std::string& body = response->body;
+    EXPECT_NE(body.find("# TYPE dcws_requests_total counter"),
+              std::string::npos);
+    for (const char* outcome :
+         {"served_local", "served_coop", "redirect", "not_found",
+          "overloaded", "dropped"}) {
+      EXPECT_NE(body.find("dcws_requests_total{outcome=\"" +
+                          std::string(outcome) + "\""),
+                std::string::npos)
+          << server->address().ToString() << " missing outcome "
+          << outcome;
+    }
+    for (const char* quantile : {"_p50", "_p95", "_p99", "_max"}) {
+      EXPECT_NE(
+          body.find("dcws_request_latency_us" + std::string(quantile)),
+          std::string::npos)
+          << server->address().ToString() << " missing " << quantile;
+    }
+    EXPECT_NE(body.find("server=\"" + server->address().ToString() + "\""),
+              std::string::npos);
+  }
+
+  // The traffic-generating server actually observed the requests.
+  auto snapshot = alpha.metrics().Snapshot();
+  const obs::MetricSnapshot* served = obs::FindMetric(
+      snapshot, "dcws_requests_total", {{"outcome", "served_local"}});
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->value, 5.0);
+  network.StopAll();
+}
+
+// ------------------------------------------------------- fs round trip
 
 TEST(FsTest, SaveAndLoadDirectoryRoundTrip) {
   std::string root =
