@@ -2,8 +2,9 @@
 // paper's "hash table ... necessary for each request"), Algorithm 1
 // selection, the ~migrate naming codec, the piggyback load-header
 // codec, whole-request serving through core::Server (cached,
-// regenerating, and stored documents up to the socket write), and the
-// event-journal append.
+// regenerating, and stored documents up to the socket write), the
+// event-journal append, and one loopback round trip through the TCP
+// host.
 //
 // CI runs this binary and diffs the result against the committed
 // results/BENCH_micro_core.json via tools/check_perf.py; ratios are
@@ -17,6 +18,7 @@
 #include "src/load/piggyback.h"
 #include "src/migrate/naming.h"
 #include "src/migrate/selection.h"
+#include "src/net/tcp.h"
 #include "src/obs/events.h"
 #include "src/util/clock.h"
 #include "src/workload/site.h"
@@ -276,6 +278,35 @@ void BM_EventJournalEmit(benchmark::State& state) {
   state.SetLabel("decision event with 4 GLT rows");
 }
 BENCHMARK(BM_EventJournalEmit);
+
+// One HTTP/1.0 GET of a ~2.6 KB LOD page over loopback: TcpCall's
+// connect, request write and response read on this thread; the host's
+// accept, request read and parse, HandleRequest and vectored write on
+// its threads.  Real time, since most of a round trip is spent blocked.
+void BM_TcpRoundTrip(benchmark::State& state) {
+  net::TcpNetwork network;
+  auto host = network.AddServer(&BenchServer());
+  if (!host.ok()) {
+    state.SkipWithError("no loopback port to bind");
+    return;
+  }
+  http::Request request;
+  request.method = "GET";
+  request.target = "/lod/gallery3.html";
+  size_t body_bytes = 0;
+  for (auto _ : state) {
+    auto response = net::TcpCall((*host)->port(), request);
+    if (!response.ok() || response->status_code != 200) {
+      state.SkipWithError("round trip failed");
+      break;
+    }
+    body_bytes = response->body.size();
+    benchmark::DoNotOptimize(response);
+  }
+  network.StopAll();
+  state.SetLabel(std::to_string(body_bytes) + " B page over loopback");
+}
+BENCHMARK(BM_TcpRoundTrip)->UseRealTime();
 
 // Fixed CPU-bound spin: the machine-speed anchor tools/check_perf.py
 // divides the other timings by, so the regression gate compares

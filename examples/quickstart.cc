@@ -60,9 +60,9 @@ int main() {
   std::printf("home LDG: %zu documents, %zu links, %zu entry points\n",
               stats.documents, stats.links, stats.entry_points);
 
-  // 3. One TCP host per server on an ephemeral 127.0.0.1 port: an
-  //    accept thread, 12 worker threads and a statistics/pinger duty
-  //    thread each.
+  // 3. One TCP host per server on an ephemeral 127.0.0.1 port: 12
+  //    worker threads that accept their own connections, a front-end
+  //    thread and a statistics/pinger duty thread each.
   net::TcpNetwork network;
   for (core::Server* server : {&home, &coop1, &coop2}) {
     if (auto host = network.AddServer(server); !host.ok()) {

@@ -13,7 +13,8 @@ namespace dcws::core {
 // published default values; the second block holds policy knobs the paper
 // leaves implicit ("it is determined that a migration should occur").
 // Table 1's N_fe and N_pi are fixed at 1, not fields: a TCP host runs
-// one accept thread, and every host runs one duty (statistics + pinger)
+// one front-end thread (it accepts into the L_sq queue while every
+// worker is busy), and every host runs one duty (statistics + pinger)
 // thread.
 struct ServerParams {
   // ---- Table 1 ----

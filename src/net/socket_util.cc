@@ -131,18 +131,22 @@ Status WriteAll(const Socket& socket, std::string_view data) {
   return WriteAll(socket, std::span<const std::string_view>(&data, 1));
 }
 
-Result<std::string> ReadSome(const Socket& socket, size_t max) {
-  std::string buffer;
-  buffer.resize(max);
+Result<size_t> ReadInto(const Socket& socket, std::span<char> buffer) {
   while (true) {
-    ssize_t n = ::recv(socket.fd(), buffer.data(), max, 0);
+    ssize_t n = ::recv(socket.fd(), buffer.data(), buffer.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::Unavailable(Errno("recv"));
     }
-    buffer.resize(static_cast<size_t>(n));
-    return buffer;
+    return static_cast<size_t>(n);
   }
+}
+
+Result<std::string> ReadSome(const Socket& socket, size_t max) {
+  std::string buffer(max, '\0');
+  DCWS_ASSIGN_OR_RETURN(size_t n, ReadInto(socket, buffer));
+  buffer.resize(n);
+  return buffer;
 }
 
 }  // namespace dcws::net

@@ -52,6 +52,10 @@ Status WriteAll(const Socket& socket, std::span<const std::string_view> parts);
 // Blocking full write of one buffer (the vectored write above).
 Status WriteAll(const Socket& socket, std::string_view data);
 
+// Blocking read into `buffer`; returns the byte count, 0 = orderly
+// shutdown.  EINTR retries.
+Result<size_t> ReadInto(const Socket& socket, std::span<char> buffer);
+
 // Blocking read of up to `max` bytes; empty string = orderly shutdown.
 Result<std::string> ReadSome(const Socket& socket, size_t max = 64 * 1024);
 

@@ -18,8 +18,8 @@
 namespace dcws::test {
 
 // A live DCWS cluster owned by a test fixture.  Every member is a
-// net::TcpServerHost on a loopback port (accept thread, bounded socket
-// queue, worker pool, duty thread), all members share one
+// net::TcpServerHost on a loopback port (accepting workers, a front end
+// with the bounded socket queue, duty thread), all members share one
 // net::TcpNetwork, and the harness provides the fault injectors and
 // convergence predicates the chaos suite is built from:
 //
