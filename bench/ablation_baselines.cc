@@ -50,8 +50,10 @@ void Run() {
         // Approximation: assume migrated share proportional to count.
         (void)doc;
       }
+      uint64_t migrations = bench::CounterValue(
+          r.metrics, "dcws_migrations_total", {{"direction", "out"}});
       uint64_t storage =
-          site_bytes + site_bytes * r.server_counters.migrations /
+          site_bytes + site_bytes * migrations /
                            std::max<uint64_t>(site.documents.size(), 1);
       table.AddRow({std::to_string(servers), "DCWS",
                     metrics::TablePrinter::Num(r.cps, 0),

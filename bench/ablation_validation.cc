@@ -42,8 +42,10 @@ void Run() {
           {std::to_string(t_val / kMicrosPerSecond),
            conditional ? "on" : "off",
            metrics::TablePrinter::Num(r.cps, 0),
-           std::to_string(r.server_counters.coop_fetches),
-           std::to_string(r.server_counters.not_modified),
+           std::to_string(bench::CounterValue(
+               r.metrics, "dcws_coop_fetches_total")),
+           std::to_string(bench::CounterValue(
+               r.metrics, "dcws_not_modified_total")),
            std::string(conditional ? "= T_val" : "= T_val")});
       std::fflush(stdout);
     }

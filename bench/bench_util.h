@@ -51,6 +51,15 @@ inline MicroTime WarmupFor(const workload::SiteSpec& site) {
   return std::max(Seconds(180), by_size);
 }
 
+// A counter's cluster-wide value in a merged registry snapshot
+// (ExperimentResult/GrowthResult::metrics); 0 when absent.
+inline uint64_t CounterValue(const std::vector<obs::MetricSnapshot>& metrics,
+                             std::string_view name,
+                             const obs::Labels& labels = {}) {
+  const obs::MetricSnapshot* metric = obs::FindMetric(metrics, name, labels);
+  return metric == nullptr ? 0 : static_cast<uint64_t>(metric->value);
+}
+
 inline std::string Mbps(double bytes_per_sec) {
   return metrics::TablePrinter::Num(bytes_per_sec / 1e6, 2) + " MB/s";
 }

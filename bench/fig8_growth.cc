@@ -66,15 +66,14 @@ void Run() {
       start, quarter, end);
 
   // Reconstruction rate (paper §5.3: 1.3 avg / 17.2 peak docs/s on LOD).
+  uint64_t regenerations =
+      bench::CounterValue(result.metrics, "dcws_regenerations_total");
   double regen_avg =
-      static_cast<double>(result.server_counters.regenerations) /
-      ToSeconds(duration);
+      static_cast<double>(regenerations) / ToSeconds(duration);
   std::printf(
       "Document reconstructions: %llu total, %.2f docs/s average "
       "(paper: 1.3 avg, 17.2 peak)\n",
-      static_cast<unsigned long long>(
-          result.server_counters.regenerations),
-      regen_avg);
+      static_cast<unsigned long long>(regenerations), regen_avg);
   std::printf(
       "\nPaper: both measures grow at a seemingly exponential rate as\n"
       "migrations compound; expect slow early samples and rapid late\n"

@@ -54,11 +54,15 @@ Observation Observe(const core::ServerParams& params) {
       break;
     }
   }
-  obs.migrations = growth.server_counters.migrations;
-  obs.revocations = growth.server_counters.revocations;
-  obs.coop_fetches = growth.server_counters.coop_fetches;
-  obs.pings = growth.server_counters.pings_sent;
-  obs.regenerations = growth.server_counters.regenerations;
+  obs.migrations = bench::CounterValue(
+      growth.metrics, "dcws_migrations_total", {{"direction", "out"}});
+  obs.revocations =
+      bench::CounterValue(growth.metrics, "dcws_revocations_total");
+  obs.coop_fetches =
+      bench::CounterValue(growth.metrics, "dcws_coop_fetches_total");
+  obs.pings = bench::CounterValue(growth.metrics, "dcws_pings_total");
+  obs.regenerations =
+      bench::CounterValue(growth.metrics, "dcws_regenerations_total");
   return obs;
 }
 

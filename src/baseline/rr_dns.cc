@@ -65,12 +65,10 @@ BaselineResult RunRrDnsExperiment(const workload::SiteSpec& site,
   std::vector<std::unique_ptr<sim::SimClient>> clients;
   Rng seeds(sim_config.seed);
   for (int i = 0; i < config.clients; ++i) {
-    sim::SimClientConfig client_config;
     size_t resolver = static_cast<size_t>(i) % caches->size();
     const workload::SiteSpec* site_ptr = &site;
-    client_config.entry_picker = [&world, caches, rr_cursor, resolver,
-                                  ttl = config.dns_ttl,
-                                  site_ptr](Rng& rng) {
+    auto resolve = [&world, caches, rr_cursor, resolver,
+                    ttl = config.dns_ttl, site_ptr](Rng& rng) {
       ResolverCache& cache = (*caches)[resolver];
       if (cache.expires_at < world.Now()) {
         cache.server = (*rr_cursor)++ % world.host_count();
@@ -84,7 +82,7 @@ BaselineResult RunRrDnsExperiment(const workload::SiteSpec& site,
       return http::Url{address.host, address.port, entry};
     };
     clients.push_back(std::make_unique<sim::SimClient>(
-        &world, seeds.NextUint64(), client_config));
+        &world, std::move(resolve), seeds.NextUint64()));
     clients.back()->Start();
   }
 
@@ -172,14 +170,13 @@ BaselineResult RunCentralRouterExperiment(
   Rng seeds(sim_config.seed);
   const workload::SiteSpec* site_ptr = &site;
   for (int i = 0; i < config.clients; ++i) {
-    sim::SimClientConfig client_config;
-    client_config.entry_picker = [vip, site_ptr](Rng& rng) {
+    auto through_vip = [vip, site_ptr](Rng& rng) {
       const std::string& entry = site_ptr->entry_points[rng.NextBelow(
           site_ptr->entry_points.size())];
       return http::Url{vip.host, vip.port, entry};
     };
     clients.push_back(std::make_unique<sim::SimClient>(
-        w, seeds.NextUint64(), client_config));
+        w, std::move(through_vip), seeds.NextUint64()));
     clients.back()->Start();
   }
 

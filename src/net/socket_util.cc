@@ -142,11 +142,4 @@ Result<size_t> ReadInto(const Socket& socket, std::span<char> buffer) {
   }
 }
 
-Result<std::string> ReadSome(const Socket& socket, size_t max) {
-  std::string buffer(max, '\0');
-  DCWS_ASSIGN_OR_RETURN(size_t n, ReadInto(socket, buffer));
-  buffer.resize(n);
-  return buffer;
-}
-
 }  // namespace dcws::net

@@ -56,9 +56,6 @@ Status WriteAll(const Socket& socket, std::string_view data);
 // shutdown.  EINTR retries.
 Result<size_t> ReadInto(const Socket& socket, std::span<char> buffer);
 
-// Blocking read of up to `max` bytes; empty string = orderly shutdown.
-Result<std::string> ReadSome(const Socket& socket, size_t max = 64 * 1024);
-
 }  // namespace dcws::net
 
 #endif  // DCWS_NET_SOCKET_UTIL_H_

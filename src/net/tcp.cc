@@ -7,6 +7,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
+#include <span>
 
 #include "src/http/wire.h"
 #include "src/util/logging.h"
@@ -363,14 +365,22 @@ Result<http::Response> TcpCall(uint16_t port,
                                const http::Request& request) {
   DCWS_ASSIGN_OR_RETURN(Socket conn, ConnectLoopback(port));
   DCWS_RETURN_IF_ERROR(WriteAll(conn, request.Serialize()));
+  return ReadResponse(conn);
+}
+
+Result<http::Response> ReadResponse(const Socket& conn) {
   http::MessageFramer framer;
+  // One buffer for every read of the response, never zero-filled: a
+  // multi-MB co-op fetch still reads 64 KiB per recv.
+  constexpr size_t kChunk = 64 * 1024;
+  auto buffer = std::make_unique_for_overwrite<char[]>(kChunk);
   while (true) {
-    auto chunk = ReadSome(conn);
-    if (!chunk.ok()) return chunk.status();
-    if (chunk->empty()) {
+    auto read = ReadInto(conn, std::span<char>(buffer.get(), kChunk));
+    if (!read.ok()) return read.status();
+    if (*read == 0) {
       return Status::Unavailable("connection closed mid-response");
     }
-    framer.Feed(*chunk);
+    framer.Feed(std::string_view(buffer.get(), *read));
     if (framer.has_error()) return framer.error();
     if (auto wire = framer.NextMessage()) {
       return http::ParseResponse(*wire);

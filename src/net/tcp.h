@@ -173,6 +173,9 @@ class TcpNetwork : public core::PeerClient {
 Result<http::Response> TcpCall(uint16_t port,
                                const http::Request& request);
 
+// Reads one HTTP response off `conn`: TcpCall's read half.
+Result<http::Response> ReadResponse(const Socket& conn);
+
 // workload::Fetcher over a TcpNetwork (clients resolve names the same
 // way the servers do).
 class TcpFetcher : public workload::Fetcher {

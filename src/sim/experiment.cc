@@ -1,5 +1,7 @@
 #include "src/sim/experiment.h"
 
+#include "src/obs/export.h"
+
 namespace dcws::sim {
 
 namespace {
@@ -67,8 +69,7 @@ void SetClusterPacing(SimWorld& world, MicroTime stats_interval,
 ExperimentResult RunExperiment(const workload::SiteSpec& site,
                                const ExperimentConfig& config) {
   SimWorld world(site, config.sim);
-  auto clients = StartClients(&world, config.clients, config.sim.seed,
-                              config.client);
+  auto clients = StartClients(&world, config.clients, config.sim.seed);
 
   // Warm-up: let migration spread the graph.
   if (config.accelerated_warmup) {
@@ -121,7 +122,6 @@ ExperimentResult RunExperiment(const workload::SiteSpec& site,
   result.cps_series = std::move(sampler.cps());
   result.bps_series = std::move(sampler.bps());
   result.client_totals = world.totals();
-  result.server_counters = world.AggregateServerCounters();
   result.metrics = world.AggregateMetrics();
   result.host_events = world.CollectEventStreams();
   result.host_history = world.CollectHistory();
@@ -152,12 +152,14 @@ GrowthResult RunGrowthExperiment(const workload::SiteSpec& site,
         t, static_cast<double>(now.connections - last.connections) / dt);
     result.bps_series.Append(
         t, static_cast<double>(now.bytes - last.bytes) / dt);
+    result.metrics = world.AggregateMetrics();
+    const obs::MetricSnapshot* migrations =
+        obs::FindMetric(result.metrics, "dcws_migrations_total",
+                        {{"direction", "out"}});
     result.migrations_series.Append(
-        t, static_cast<double>(
-               world.AggregateServerCounters().migrations));
+        t, migrations == nullptr ? 0 : migrations->value);
     last = now;
   }
-  result.server_counters = world.AggregateServerCounters();
   return result;
 }
 

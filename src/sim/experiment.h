@@ -13,7 +13,6 @@ namespace dcws::sim {
 struct ExperimentConfig {
   SimConfig sim;
   int clients = 32;
-  SimClient::Config client;
 
   // Warm-up lets migration spread the document graph before measuring.
   MicroTime warmup = 240 * kMicrosPerSecond;
@@ -37,7 +36,6 @@ struct ExperimentResult {
   metrics::TimeSeries bps_series{"bps", 0};
   ClientTotals window_totals;         // deltas over the measured window
   ClientTotals client_totals;         // lifetime client-side totals
-  core::Server::Counters server_counters;  // cluster lifetime totals
   // Cluster-wide merged metric registry (lifetime), the same schema a
   // live server serves at /.dcws/status; bench --metrics-json dumps it.
   std::vector<obs::MetricSnapshot> metrics;
@@ -61,12 +59,14 @@ ExperimentResult RunExperiment(const workload::SiteSpec& site,
 
 // Time-series variant used by Figure 8: samples CPS/BPS every
 // `sample_interval` from t = 0 (cold start, honest Table-1 pacing) for
-// `duration`.  Returns series only.
+// `duration`.
 struct GrowthResult {
   metrics::TimeSeries cps_series{"cps", 0};
   metrics::TimeSeries bps_series{"bps", 0};
+  // Cluster-wide dcws_migrations_total{direction="out"} at each sample.
   metrics::TimeSeries migrations_series{"migrations", 0};
-  core::Server::Counters server_counters;
+  // Cluster-wide merged metric registry at the end of the run.
+  std::vector<obs::MetricSnapshot> metrics;
 };
 GrowthResult RunGrowthExperiment(const workload::SiteSpec& site,
                                  SimConfig sim, int clients,

@@ -2,30 +2,13 @@
 
 #include <algorithm>
 
-#include "src/migrate/naming.h"
-#include "src/storage/document.h"
-
 namespace dcws::sim {
 
-namespace {
-
-// Client-side guess of whether a URL names an HTML document (the path
-// extension — browsers of the era did the same before Content-Type
-// arrived).
-bool LooksLikeHtml(const http::Url& url) {
-  std::string path = url.path;
-  if (migrate::IsMigratedTarget(path)) {
-    auto decoded = migrate::DecodeMigratedTarget(path);
-    if (decoded.ok()) path = decoded->doc_path;
-  }
-  return storage::GuessContentType(path) == "text/html";
-}
-
-}  // namespace
-
-SimClient::SimClient(SimWorld* world, uint64_t seed,
-                     SimClientConfig config)
-    : world_(world), rng_(seed), config_(config) {}
+SimClient::SimClient(SimWorld* world, workload::EntryPicker entry,
+                     uint64_t seed, workload::BrowseConfig config)
+    : world_(world),
+      walk_(std::move(entry), seed, std::move(config),
+            static_cast<size_t>(world->calib().image_helpers)) {}
 
 MicroTime SimClient::ReserveCpu(MicroTime cost) {
   MicroTime now = world_->Now();
@@ -37,214 +20,101 @@ void SimClient::Start() {
   // Stagger client start-up over one second so 400 clients do not fire
   // their first request on the same event timestamp.
   world_->queue().ScheduleAfter(
-      static_cast<MicroTime>(rng_.NextBelow(kMicrosPerSecond)),
-      [this]() { BeginWalk(); });
+      static_cast<MicroTime>(walk_.rng().NextBelow(kMicrosPerSecond)),
+      [this]() { Pump(); });
 }
 
-void SimClient::BeginWalk() {
-  cache_.clear();  // "reset cache"
-  step_doc_ = nullptr;
-  if (config_.entry_picker) {
-    current_ = config_.entry_picker(rng_);
-  } else {
-    const auto& entries = world_->entry_urls();
-    current_ = entries[rng_.NextBelow(entries.size())];
+void SimClient::Pump() {
+  while (true) {
+    if (std::optional<FetchId> id = walk_.NextFetch()) {
+      Issue(*id);
+    } else if (walk_.walking()) {
+      return;  // helpers still busy; the last completion re-enters here
+    } else {
+      walk_.Begin();
+    }
   }
-  steps_left_ = static_cast<int>(
-      rng_.NextInRange(config_.min_steps, config_.max_steps));
-  RunStep();
 }
 
-void SimClient::RunStep() {
-  if (steps_left_ <= 0) {
-    walks_ += 1;
-    BeginWalk();
-    return;
-  }
-  steps_left_ -= 1;
-  Fetch(current_, config_.max_redirect_hops, config_.max_drop_retries,
-        kMicrosPerSecond, "", [this](const CachedDoc* doc) {
-          if (doc == nullptr || !doc->is_html) {
-            // Walk abandoned or dead-ended (e.g. a raster archive leaf).
-            walks_ += 1;
-            BeginWalk();
-            return;
-          }
-          step_doc_ = doc;
-          next_image_ = 0;
-          outstanding_images_ = 0;
-          FetchNextImages();
-        });
-}
-
-void SimClient::FetchNextImages() {
-  // "request all embedded images in parallel (using helper threads)" —
-  // up to `image_helpers` outstanding at once.
-  const auto& images = step_doc_->links.images;
-  while (outstanding_images_ < world_->calib().image_helpers &&
-         next_image_ < images.size()) {
-    http::Url image = images[next_image_++];
-    outstanding_images_ += 1;
-    Fetch(std::move(image), config_.max_redirect_hops,
-          config_.max_drop_retries, kMicrosPerSecond, "",
-          [this](const CachedDoc*) {
-            outstanding_images_ -= 1;
-            FetchNextImages();
-          });
-  }
-  if (outstanding_images_ > 0 ||
-      next_image_ < step_doc_->links.images.size()) {
-    return;  // helpers still busy; the last completion re-enters here
-  }
-  // "wait until all the requested documents arrive", then pick a link.
-  auto next = workload::PickRandom(step_doc_->links.hyperlinks, rng_);
-  if (!next.has_value()) {
-    walks_ += 1;
-    BeginWalk();
-    return;
-  }
-  current_ = *next;
-  if (config_.mean_think_time > 0) {
-    // The user reads the page before following the link.
-    MicroTime think = static_cast<MicroTime>(rng_.NextExponential(
-        static_cast<double>(config_.mean_think_time)));
-    world_->queue().ScheduleAfter(think, [this]() { RunStep(); });
-    return;
-  }
-  RunStep();
-}
-
-void SimClient::Fetch(http::Url url, int redirects_left, int retries_left,
-                      MicroTime backoff, std::string origin_key,
-                      FetchDone done) {
-  if (origin_key.empty()) origin_key = url.ToString();
-  auto cached = cache_.find(url.ToString());
-  if (cached != cache_.end()) {
+void SimClient::Issue(FetchId id) {
+  if (walk_.FromCache(id)) {
     // Cache hit: a sliver of client CPU, no connection.
-    world_->queue().ScheduleAt(
-        ReserveCpu(100),
-        [done = std::move(done), doc = &cached->second]() { done(doc); });
+    world_->queue().ScheduleAt(ReserveCpu(100), [this, id]() { Finish(id); });
     return;
   }
-
   // The issuing thread spends its per-request CPU (serialized on this
   // instance's CPU slice), then the request travels half an RTT, queues
   // at the server, and the response returns.
+  const http::Url& url = walk_.url(id);
   MicroTime issue_done = ReserveCpu(world_->calib().client_request_cpu);
   MicroTime half_rtt = world_->RttTo({url.host, url.port}) / 2;
-
-  world_->queue().ScheduleAt(
-      issue_done + half_rtt,
-      [this, url = std::move(url), redirects_left, retries_left, backoff,
-       origin_key = std::move(origin_key),
-       done = std::move(done)]() mutable {
-        http::Request request;
-        request.method = "GET";
-        request.target = url.path;
-        request.headers.Set(std::string(http::kHeaderHost),
-                            url.Authority());
-        // Build the address before the call: `url` moves into the
-        // response callback and argument evaluation order is unspecified.
-        http::ServerAddress target{url.host, url.port};
-        MicroTime half_rtt = world_->RttTo(target) / 2;
-        bool routed = world_->SubmitRequest(
-            target, std::move(request),
-            [this, url = std::move(url), redirects_left, retries_left,
-             backoff, origin_key = std::move(origin_key),
-             done = std::move(done),
-             half_rtt](http::Response response) mutable {
-              world_->queue().ScheduleAfter(
-                  half_rtt,
-                  [this, url = std::move(url), redirects_left,
-                   retries_left, backoff,
-                   origin_key = std::move(origin_key),
-                   done = std::move(done),
-                   response = std::move(response)]() mutable {
-                    world_->CountClientResponse(response);
-
-                    if (response.status_code == 503) {
-                      if (retries_left <= 0) {
-                        done(nullptr);
-                        return;
-                      }
-                      // Exponential back-off: 1 s, 2 s, 4 s, ...
-                      world_->queue().ScheduleAfter(
-                          backoff,
-                          [this, url = std::move(url), redirects_left,
-                           retries_left, backoff,
-                           origin_key = std::move(origin_key),
-                           done = std::move(done)]() mutable {
-                            Fetch(std::move(url), redirects_left,
-                                  retries_left - 1, backoff * 2,
-                                  std::move(origin_key),
-                                  std::move(done));
-                          });
-                      return;
-                    }
-
-                    if (response.IsRedirect()) {
-                      auto location =
-                          response.headers.Get(http::kHeaderLocation);
-                      if (!location.has_value() || redirects_left <= 0) {
-                        world_->CountClientFailure();
-                        done(nullptr);
-                        return;
-                      }
-                      auto next =
-                          http::Url::Parse(std::string(*location));
-                      if (!next.ok()) {
-                        world_->CountClientFailure();
-                        done(nullptr);
-                        return;
-                      }
-                      Fetch(std::move(next).value(), redirects_left - 1,
-                            retries_left, backoff,
-                            std::move(origin_key), std::move(done));
-                      return;
-                    }
-
-                    if (response.status_code != 200) {
-                      done(nullptr);
-                      return;
-                    }
-
-                    // Parse once (HTML only) and cache the structure;
-                    // the parse costs client CPU.
-                    CachedDoc doc;
-                    doc.is_html = LooksLikeHtml(url);
-                    MicroTime ready = world_->Now();
-                    if (doc.is_html) {
-                      doc.links = workload::ClassifyLinks(response.body,
-                                                          url);
-                      ready = ReserveCpu(world_->calib().client_parse_cpu);
-                    }
-                    std::string final_key = url.ToString();
-                    if (origin_key != final_key) {
-                      // Key the entry under the URL the page asked for
-                      // too, so rotating 301s still hit the cache.
-                      cache_.insert_or_assign(origin_key, doc);
-                    }
-                    auto [it, inserted] = cache_.insert_or_assign(
-                        std::move(final_key), std::move(doc));
-                    world_->queue().ScheduleAt(
-                        ready, [done = std::move(done),
-                                entry = &it->second]() { done(entry); });
-                  });
-            });
-        if (!routed) {
-          world_->CountClientFailure();
-          done(nullptr);
-        }
-      });
+  world_->queue().ScheduleAt(issue_done + half_rtt,
+                             [this, id]() { Send(id); });
 }
 
-std::vector<std::unique_ptr<SimClient>> StartClients(
-    SimWorld* world, int count, uint64_t seed, SimClientConfig config) {
+void SimClient::Send(FetchId id) {
+  const http::Url& url = walk_.url(id);
+  http::Request request;
+  request.method = "GET";
+  request.target = url.path;
+  request.headers.Set(std::string(http::kHeaderHost), url.Authority());
+  http::ServerAddress target{url.host, url.port};
+  MicroTime half_rtt = world_->RttTo(target) / 2;
+  bool routed = world_->SubmitRequest(
+      target, std::move(request),
+      [this, id, half_rtt](http::Response response) {
+        world_->queue().ScheduleAfter(
+            half_rtt, [this, id, response = std::move(response)]() {
+              Receive(id, response);
+            });
+      });
+  if (!routed) {
+    world_->CountClientFailure();
+    walk_.OnFailure(id);
+    Finish(id);
+  }
+}
+
+void SimClient::Receive(FetchId id, const http::Response& response) {
+  world_->CountClientResponse(response);
+  switch (walk_.OnResponse(id, response)) {
+    case workload::Walk::Verdict::kRetry:
+      world_->queue().ScheduleAfter(walk_.backoff(id),
+                                    [this, id]() { Issue(id); });
+      return;
+    case workload::Walk::Verdict::kRedirect:
+      Issue(id);
+      return;
+    case workload::Walk::Verdict::kFailed:
+      // A 301 the walk could not follow fails on the client side.
+      if (response.IsRedirect()) world_->CountClientFailure();
+      Finish(id);
+      return;
+    case workload::Walk::Verdict::kDone: {
+      // The parse of an HTML page costs client CPU.
+      MicroTime ready = walk_.parsed(id)
+                            ? ReserveCpu(world_->calib().client_parse_cpu)
+                            : world_->Now();
+      world_->queue().ScheduleAt(ready, [this, id]() { Finish(id); });
+      return;
+    }
+  }
+}
+
+void SimClient::Finish(FetchId id) {
+  walk_.Complete(id);
+  Pump();
+}
+
+std::vector<std::unique_ptr<SimClient>> StartClients(SimWorld* world,
+                                                     int count,
+                                                     uint64_t seed) {
   std::vector<std::unique_ptr<SimClient>> clients;
   Rng seeds(seed);
   for (int i = 0; i < count; ++i) {
     clients.push_back(std::make_unique<SimClient>(
-        world, seeds.NextUint64(), config));
+        world, workload::PickUniformly(world->entry_urls()),
+        seeds.NextUint64()));
     clients.back()->Start();
   }
   return clients;

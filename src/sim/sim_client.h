@@ -2,103 +2,58 @@
 #define DCWS_SIM_SIM_CLIENT_H_
 
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/sim_cluster.h"
-#include "src/util/rng.h"
 #include "src/workload/browse.h"
 
 namespace dcws::sim {
 
-// Event-driven implementation of the paper's custom client benchmark
-// (Algorithm 2, Figure 5): an endless loop of access sequences, each
-// starting at a random well-known entry point, walking random(1..25)
-// hyperlinks with a per-sequence client cache, fetching embedded images
-// through four parallel helper threads, and backing off exponentially on
-// 503.
+// Event-driven driver of the paper's custom client benchmark (Algorithm
+// 2, Figure 5): an endless loop of workload::Walk access sequences, with
+// embedded images fetched through `image_helpers` parallel helper
+// threads and 503 back-off waited out in virtual time.
 //
 // Timing model: one benchmark instance owns one CPU slice; all of its
 // request-issue and parse work serializes through that slice, so the
 // helper threads overlap server latency but not client CPU (the paper's
 // benchmark workstations are CPU-saturated).
-struct SimClientConfig {
-  int min_steps = 1;
-  int max_steps = 25;
-  int max_drop_retries = 8;
-  int max_redirect_hops = 4;
-  // Mean exponential think time inserted between walk steps.  The
-  // paper's benchmark uses none and lists it as future work ("we have
-  // not taken into account the effects of user think time", 6); with a
-  // non-zero mean each client models a human reading the page before
-  // following the next link.
-  MicroTime mean_think_time = 0;
-  // Where walks begin.  Unset: a random entry point of the loaded site
-  // on the home server.  Baselines install a picker that performs DNS
-  // resolution / VIP addressing.
-  std::function<http::Url(Rng&)> entry_picker;
-};
-
 class SimClient {
  public:
-  using Config = SimClientConfig;
-
-  SimClient(SimWorld* world, uint64_t seed,
-            SimClientConfig config = SimClientConfig());
+  // `entry` picks where each walk begins: a site entry point on the home
+  // server (StartClients), or behind the baselines' DNS name or VIP.
+  SimClient(SimWorld* world, workload::EntryPicker entry, uint64_t seed,
+            workload::BrowseConfig config = workload::BrowseConfig());
 
   // Schedules the first walk; the client then runs forever.
   void Start();
 
-  uint64_t walks_completed() const { return walks_; }
+  uint64_t walks_completed() const { return walk_.stats().walks; }
 
  private:
-  // A fetched document as the client remembers it: the parsed link
-  // structure only.  The body is discarded after one parse — the walk
-  // never needs the bytes again, and re-tokenizing a 45 KB index page on
-  // every revisit would dominate simulation wall-clock time.
-  struct CachedDoc {
-    bool is_html = false;
-    workload::PageLinks links;
-  };
-  // Receives the cache entry for the fetched document (nullptr when the
-  // fetch ultimately failed).
-  using FetchDone = std::function<void(const CachedDoc* doc)>;
+  using FetchId = workload::Walk::FetchId;
 
-  void BeginWalk();
-  void RunStep();
-  void FetchNextImages();
-  // `origin_key` is the URL string the walk originally asked for; the
-  // fetched document is cached under it AND under the final URL after
-  // redirects, the way a browser keys its cache, so rotating 301s do
-  // not defeat caching.  Empty at the top-level call.
-  void Fetch(http::Url url, int redirects_left, int retries_left,
-             MicroTime backoff, std::string origin_key, FetchDone done);
+  // Starts every fetch the walk has now, beginning the next walk when
+  // one ends.
+  void Pump();
+  // From the cache, or a request after this client's CPU and half an RTT.
+  void Issue(FetchId id);
+  void Send(FetchId id);
+  void Receive(FetchId id, const http::Response& response);
+  void Finish(FetchId id);
   // Reserves `cost` of this client's CPU; returns the completion time.
   MicroTime ReserveCpu(MicroTime cost);
 
   SimWorld* world_;
-  Rng rng_;
-  SimClientConfig config_;
-
-  // Walk state.
-  std::unordered_map<std::string, CachedDoc> cache_;  // url -> parsed doc
-  int steps_left_ = 0;
-  http::Url current_;
-  uint64_t walks_ = 0;
+  workload::Walk walk_;
   MicroTime cpu_busy_until_ = 0;
-
-  // Per-step state: the current page (owned by cache_) and the embedded
-  // images being pulled by the helper threads.
-  const CachedDoc* step_doc_ = nullptr;
-  size_t next_image_ = 0;
-  int outstanding_images_ = 0;
 };
 
-// Convenience: create and start `count` clients.
-std::vector<std::unique_ptr<SimClient>> StartClients(
-    SimWorld* world, int count, uint64_t seed,
-    SimClientConfig config = SimClientConfig());
+// Convenience: create and start `count` clients walking from the loaded
+// site's entry points.
+std::vector<std::unique_ptr<SimClient>> StartClients(SimWorld* world,
+                                                     int count,
+                                                     uint64_t seed);
 
 }  // namespace dcws::sim
 

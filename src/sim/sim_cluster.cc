@@ -249,27 +249,6 @@ void SimWorld::CountClientResponse(const http::Response& response) {
 
 void SimWorld::CountClientFailure() { totals_.failures += 1; }
 
-core::Server::Counters SimWorld::AggregateServerCounters() const {
-  core::Server::Counters sum;
-  for (const auto& host : hosts_) {
-    core::Server::Counters c = host->server_->counters();
-    sum.requests += c.requests;
-    sum.served_local += c.served_local;
-    sum.served_coop += c.served_coop;
-    sum.redirects += c.redirects;
-    sum.not_found += c.not_found;
-    sum.regenerations += c.regenerations;
-    sum.coop_fetches += c.coop_fetches;
-    sum.migrations += c.migrations;
-    sum.revocations += c.revocations;
-    sum.pings_sent += c.pings_sent;
-    sum.internal_requests += c.internal_requests;
-    sum.stale_serves += c.stale_serves;
-    sum.not_modified += c.not_modified;
-  }
-  return sum;
-}
-
 std::vector<SimWorld::HostEvents> SimWorld::CollectEventStreams() const {
   std::vector<HostEvents> streams;
   streams.reserve(hosts_.size());

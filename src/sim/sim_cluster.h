@@ -158,9 +158,6 @@ class SimWorld : public core::PeerClient {
     return latency_samples_ms_;
   }
 
-  // Aggregate server counters across hosts.
-  core::Server::Counters AggregateServerCounters() const;
-
   // Cluster-wide metric snapshot: every host's registry merged by
   // (name, labels) — counters/gauges summed, histograms bucket-merged.
   // Schema-identical to a live server's /.dcws/status, so bench JSON

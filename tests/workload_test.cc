@@ -361,14 +361,16 @@ TEST(BrowseHelpersTest, FollowableVsEmbedded) {
   http::Url page{"h", 80, "/dir/p.html"};
   std::string html =
       "<a href=\"x.html\">x</a><img src=\"i.gif\">"
-      "<a href=\"http://other:81/~migrate/h/80/y.html\">y</a>";
-  auto links = FollowableLinks(html, page);
+      "<a href=\"http://other:81/~migrate/h/80/y.html\">y</a>"
+      "<img src=\"i.gif\">";
+  PageLinks classified = ClassifyLinks(html, page);
+  const std::vector<http::Url>& links = classified.hyperlinks;
   ASSERT_EQ(links.size(), 2u);
   EXPECT_EQ(links[0].ToString(), "http://h:80/dir/x.html");
   EXPECT_EQ(links[1].host, "other");
-  auto images = EmbeddedImages(html, page);
-  ASSERT_EQ(images.size(), 1u);
-  EXPECT_EQ(images[0].path, "/dir/i.gif");
+  // A repeated image is fetched once.
+  ASSERT_EQ(classified.images.size(), 1u);
+  EXPECT_EQ(classified.images[0].path, "/dir/i.gif");
 
   Rng rng(1);
   EXPECT_FALSE(PickRandom({}, rng).has_value());
