@@ -3,8 +3,8 @@
 // selection, the ~migrate naming codec, the piggyback load-header
 // codec, whole-request serving through core::Server (cached,
 // regenerating, and stored documents up to the socket write), the
-// event-journal append, and one loopback round trip through the TCP
-// host.
+// event-journal append, and loopback round trips through the TCP host
+// at body sizes on either side of the sealed-body threshold.
 //
 // CI runs this binary and diffs the result against the committed
 // results/BENCH_micro_core.json via tools/check_perf.py; ratios are
@@ -201,22 +201,27 @@ void BM_ServeCachedDocument(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeCachedDocument);
 
+// Stores a `bytes`-long body at `path` on BenchServer (0: the path is a
+// site document already).
+void PutBody(const std::string& path, size_t bytes) {
+  if (bytes == 0) return;
+  storage::Document body;
+  body.path = path;
+  body.content = std::string(bytes, 'R');
+  Status put = BenchServer().PutDocument(std::move(body));
+  benchmark::DoNotOptimize(put);
+}
+
 // A stored document served up to the socket: HandleRequest, head
-// serialization and the entity view the TCP host hands to its vectored
-// write (no socket).  The entity is shared with the store, so the cost
-// should not grow with the document: compare a ~2.5 KB LOD page with a
-// 2 MB Sequoia-sized raster.
+// serialization and the entity view the TCP host hands to its write (no
+// socket).  The entity is shared with the store, so the cost should not
+// grow with the document: compare a ~2.5 KB LOD page with a 2 MB
+// Sequoia-sized raster.
 void BM_ServeStoredDocument(benchmark::State& state, std::string path,
                             size_t raster_bytes) {
   core::Server& server = BenchServer();
   NullPeers peers;
-  if (raster_bytes > 0) {
-    storage::Document raster;
-    raster.path = path;
-    raster.content = std::string(raster_bytes, 'R');
-    Status put = server.PutDocument(std::move(raster));
-    benchmark::DoNotOptimize(put);
-  }
+  PutBody(path, raster_bytes);
   http::Request request;
   request.method = "GET";
   request.target = path;
@@ -279,11 +284,16 @@ void BM_EventJournalEmit(benchmark::State& state) {
 }
 BENCHMARK(BM_EventJournalEmit);
 
-// One HTTP/1.0 GET of a ~2.6 KB LOD page over loopback: TcpCall's
-// connect, request write and response read on this thread; the host's
-// accept, request read and parse, HandleRequest and vectored write on
-// its threads.  Real time, since most of a round trip is spent blocked.
-void BM_TcpRoundTrip(benchmark::State& state) {
+// One HTTP/1.0 GET over loopback: TcpCall's connect, request write and
+// response read on this thread; the host's accept, request read and
+// parse, HandleRequest and socket write on its threads.  Real time,
+// since most of a round trip is spent blocked.  The bodies straddle
+// storage::kSealedBodyBytes: a ~2.6 KB LOD page and 16 KiB go out by the
+// vectored write, 64 KiB and a 2 MB Sequoia-sized raster by sendfile(2)
+// from their sealed memfds.
+void BM_TcpRoundTrip(benchmark::State& state, std::string path,
+                     size_t body_bytes) {
+  PutBody(path, body_bytes);
   net::TcpNetwork network;
   auto host = network.AddServer(&BenchServer());
   if (!host.ok()) {
@@ -292,21 +302,28 @@ void BM_TcpRoundTrip(benchmark::State& state) {
   }
   http::Request request;
   request.method = "GET";
-  request.target = "/lod/gallery3.html";
-  size_t body_bytes = 0;
+  request.target = path;
+  size_t received = 0;
   for (auto _ : state) {
     auto response = net::TcpCall((*host)->port(), request);
     if (!response.ok() || response->status_code != 200) {
       state.SkipWithError("round trip failed");
       break;
     }
-    body_bytes = response->body.size();
+    received = response->body.size();
     benchmark::DoNotOptimize(response);
   }
   network.StopAll();
-  state.SetLabel(std::to_string(body_bytes) + " B page over loopback");
+  state.SetLabel(std::to_string(received) + " B body over loopback");
 }
-BENCHMARK(BM_TcpRoundTrip)->UseRealTime();
+BENCHMARK_CAPTURE(BM_TcpRoundTrip, lod_page, "/lod/gallery3.html", 0)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_TcpRoundTrip, body_16k, "/bench/body16k.gif", 16 << 10)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_TcpRoundTrip, body_64k, "/bench/body64k.gif", 64 << 10)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_TcpRoundTrip, raster_2mb, "/bench/raster.gif", 2 << 20)
+    ->UseRealTime();
 
 // Fixed CPU-bound spin: the machine-speed anchor tools/check_perf.py
 // divides the other timings by, so the regression gate compares

@@ -114,7 +114,8 @@ int main() {
   http::Request index;
   index.target = "/index.html";
   http::Response page = home.HandleRequest(index, &network);
-  std::printf("\nregenerated /index.html:\n%s\n", page.entity().c_str());
+  std::printf("\nregenerated /index.html:\n%.*s\n",
+              static_cast<int>(page.entity().size()), page.entity().data());
 
   network.StopAll();
   std::printf("quickstart done.\n");

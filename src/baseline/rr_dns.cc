@@ -149,7 +149,7 @@ BaselineResult RunCentralRouterExperiment(
                                           http::Response response) mutable {
         // Outbound pass: response bytes cross the router NIC.
         MicroTime transmit = static_cast<MicroTime>(
-            static_cast<double>(response.body.size()) *
+            static_cast<double>(response.entity().size()) *
             kMicrosPerSecond /
             static_cast<double>(config.router_bytes_per_sec));
         MicroTime finish =

@@ -79,10 +79,11 @@ std::string MigrateToRevokeTarget(std::string_view migrate_target) {
 }
 
 // A 200 whose entity is a document version's bytes, shared with the
-// store rather than copied (the response keeps the version alive).
+// store rather than copied (the response keeps the version alive), with
+// the version's sealed memfd for the TCP host's sendfile(2).
 http::Response ServeDocument(const storage::DocumentPtr& doc) {
-  http::Response r = http::MakeOkResponse(std::string(), doc->content_type);
-  r.shared_body = std::shared_ptr<const std::string>(doc, &doc->content);
+  http::Response r = http::MakeOkResponse(std::string(), doc->content_type());
+  r.shared = {doc, doc->bytes(), doc->sealed_fd()};
   return r;
 }
 
@@ -225,11 +226,9 @@ void Server::InitMetrics() {
 Status Server::LoadSite(const std::vector<storage::Document>& documents,
                         const std::vector<std::string>& entry_points) {
   for (const storage::Document& doc : documents) {
-    storage::Document copy = doc;
-    if (copy.content_type.empty()) {
-      copy.content_type = storage::GuessContentType(copy.path);
-    }
-    store_.Put(std::move(copy));
+    store_.Put(doc.path, doc.content,
+               doc.content_type.empty() ? storage::GuessContentType(doc.path)
+                                        : doc.content_type);
   }
   return ldg_.Build(store_, self_, entry_points);
 }
@@ -249,11 +248,11 @@ Status Server::PutDocument(storage::Document doc, bool entry_point) {
     doc.content_type = storage::GuessContentType(doc.path);
   }
   bool existing = ldg_.Contains(doc.path);
-  store_.Put(doc);
+  storage::DocumentPtr version = store_.Put(std::move(doc));
   if (existing) {
-    return ldg_.UpdateContent(doc.path, doc);
+    return ldg_.UpdateContent(version->path(), *version);
   }
-  return ldg_.AddDocument(doc, self_, entry_point);
+  return ldg_.AddDocument(*version, self_, entry_point);
 }
 
 // ---------------------------------------------------------------------
@@ -353,7 +352,7 @@ http::Response Server::HandleRequest(const http::Request& request,
     response.headers.Set(std::string(http::kHeaderContentLength),
                          std::to_string(response.entity().size()));
     response.body.clear();
-    response.shared_body.reset();
+    response.shared = {};
   }
   if (from_peer) {
     AttachPiggyback(response.headers);
@@ -715,7 +714,7 @@ http::Response Server::HandleLocalRequest(const http::Request& request,
       return http::MakeNotFoundResponse(name);
     }
     trace->regenerated = trace->regenerated || record->is_html;
-    std::string etag = ContentEtag((*rendered)->content);
+    std::string etag = ContentEtag((*rendered)->bytes());
     if (auto if_none_match =
             request.headers.Get(http::kHeaderIfNoneMatch);
         if_none_match.has_value() && *if_none_match == etag) {
@@ -780,7 +779,7 @@ bool Server::FetchFromHome(PeerClient* peers, const std::string& target,
   if (params_.conditional_validation) {
     if (auto held = store_.Get(target); held.ok()) {
       fetch.headers.Set(std::string(http::kHeaderIfNoneMatch),
-                        ContentEtag((*held)->content));
+                        ContentEtag((*held)->bytes()));
     }
   }
 
@@ -811,20 +810,15 @@ bool Server::FetchFromHome(PeerClient* peers, const std::string& target,
     return false;
   }
 
-  storage::Document doc;
-  doc.path = target;
-  doc.content = std::move(response->body);
-  if (auto type = response->headers.Get(http::kHeaderContentType)) {
-    doc.content_type = std::string(*type);
-  } else {
-    doc.content_type = storage::GuessContentType(name.doc_path);
-  }
-  uint64_t bytes = doc.size();
+  auto type = response->headers.Get(http::kHeaderContentType);
+  uint64_t bytes = response->entity().size();
   // First physical arrival of this document = an inbound migration;
   // later fetches are validation refreshes.
   bool first_arrival = !store_.Contains(target);
   if (first_arrival) ctr_migrations_in_->Increment();
-  store_.Put(std::move(doc));
+  store_.Put(target, response->entity(),
+             type.has_value() ? std::string(*type)
+                              : storage::GuessContentType(name.doc_path));
   coop_table_.MarkFetched(target, clock_->Now());
   ctr_coop_fetches_->Increment();
   event.type = first_arrival ? obs::EventType::kMigrationApplied
@@ -863,14 +857,14 @@ std::optional<std::string> Server::InternalPathFor(
   return std::nullopt;
 }
 
-std::string Server::RewriteInternalLinks(const storage::Document& page,
+std::string Server::RewriteInternalLinks(const storage::StoredDocument& page,
                                          std::string_view local_prefix) {
   // One LDG lookup per distinct target: every occurrence of a document
   // inside this page (a page may link one image many times) reuses the
   // first answer, so they also agree if the target moves mid-rewrite.
   std::unordered_map<std::string, std::string> chosen;
   html::RewriteResult rewritten = html::RewriteLinks(
-      page.content, page.path,
+      page.bytes(), page.path(),
       [&](const html::LinkOccurrence& link)
           -> std::optional<std::string> {
         std::optional<std::string> name = InternalPathFor(link);
@@ -904,8 +898,8 @@ Result<storage::DocumentPtr> Server::RegenerateDocument(
     // is a new version, built from a copy of the old one's metadata,
     // and served as stored.
     stored = store_.Put(storage::Document{
-        stored->path, RewriteInternalLinks(*stored, ""),
-        stored->content_type});
+        stored->path(), RewriteInternalLinks(*stored, ""),
+        stored->content_type()});
   }
   DCWS_RETURN_IF_ERROR(ldg_.SetDirty(path, false));
   return stored;
@@ -922,10 +916,10 @@ Result<storage::DocumentPtr> Server::RenderForTransfer(
   // link to itself: RegenerateDocument writes it site-absolute, which on
   // the co-op would name a path the co-op does not serve.  A transfer
   // rendering is not stored; only the response holds it.
-  return std::make_shared<const storage::Document>(storage::Document{
-      stored->path,
+  return std::make_shared<const storage::StoredDocument>(
+      stored->path(),
       RewriteInternalLinks(*stored, "http://" + self_.ToString()),
-      stored->content_type});
+      stored->content_type());
 }
 
 // ---------------------------------------------------------------------

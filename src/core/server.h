@@ -241,7 +241,7 @@ class Server {
   // `local_prefix` + path for a target still here ("" keeps links
   // site-absolute; "http://<self>" makes them absolute).  Observes the
   // parse/reconstruct histograms and counts one regeneration.
-  std::string RewriteInternalLinks(const storage::Document& page,
+  std::string RewriteInternalLinks(const storage::StoredDocument& page,
                                    std::string_view local_prefix);
 
   // Maps a link occurrence back to the site path of one of OUR documents,

@@ -24,14 +24,14 @@ void AddUnique(std::vector<std::string>& list, const std::string& value) {
 }  // namespace
 
 std::vector<std::string> ExtractInternalTargets(
-    const storage::Document& doc) {
+    const storage::StoredDocument& doc) {
   std::vector<std::string> targets;
   if (!doc.is_html()) return targets;
   std::unordered_set<std::string> seen;
   for (const html::LinkOccurrence& link :
-       html::ExtractLinks(doc.content, doc.path)) {
+       html::ExtractLinks(doc.bytes(), doc.path())) {
     if (link.external) continue;
-    if (link.resolved == doc.path) continue;  // self-links are not edges
+    if (link.resolved == doc.path()) continue;  // self-links are not edges
     if (seen.insert(link.resolved).second) {
       targets.push_back(link.resolved);
     }
@@ -49,15 +49,15 @@ Status LocalDocumentGraph::Build(
   std::unordered_set<std::string> entry_set(entry_points.begin(),
                                             entry_points.end());
   // Pass 1: one record per stored document, with its outgoing links.
-  store.ForEach([&](const storage::Document& doc) {
+  store.ForEach([&](const storage::StoredDocument& doc) {
     DocumentRecord record;
-    record.name = doc.path;
+    record.name = doc.path();
     record.location = home;
     record.size = doc.size();
     record.is_html = doc.is_html();
-    record.entry_point = entry_set.contains(doc.path);
+    record.entry_point = entry_set.contains(doc.path());
     record.link_to = ExtractInternalTargets(doc);
-    records_.emplace(doc.path, std::move(record));
+    records_.emplace(doc.path(), std::move(record));
   });
 
   // Drop links to documents we do not host, then invert for link_from.
@@ -80,20 +80,20 @@ Status LocalDocumentGraph::Build(
   return Status::Ok();
 }
 
-Status LocalDocumentGraph::AddDocument(const storage::Document& doc,
+Status LocalDocumentGraph::AddDocument(const storage::StoredDocument& doc,
                                        const http::ServerAddress& home,
                                        bool entry_point) {
   MutexLock lock(mutex_);
-  if (records_.contains(doc.path)) {
-    return Status::AlreadyExists("document already in graph: " + doc.path);
+  if (records_.contains(doc.path())) {
+    return Status::AlreadyExists("document already in graph: " + doc.path());
   }
   DocumentRecord record;
-  record.name = doc.path;
+  record.name = doc.path();
   record.location = home;
   record.size = doc.size();
   record.is_html = doc.is_html();
   record.entry_point = entry_point;
-  records_.emplace(doc.path, std::move(record));
+  records_.emplace(doc.path(), std::move(record));
 
   // Wire links both ways.  Existing documents that already pointed at
   // this name (dangling until now) are not re-discovered — the paper's
@@ -102,11 +102,11 @@ Status LocalDocumentGraph::AddDocument(const storage::Document& doc,
   std::erase_if(targets, [&](const std::string& t) {
     return !records_.contains(t);
   });
-  return UpdateLinksLocked(doc.path, std::move(targets));
+  return UpdateLinksLocked(doc.path(), std::move(targets));
 }
 
 Status LocalDocumentGraph::UpdateContent(const std::string& name,
-                                         const storage::Document& doc) {
+                                         const storage::StoredDocument& doc) {
   MutexLock lock(mutex_);
   auto it = records_.find(name);
   if (it == records_.end()) {

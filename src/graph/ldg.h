@@ -55,14 +55,14 @@ class LocalDocumentGraph {
   // Registers one document (used when an author adds content at runtime).
   // Recomputes link_to for the new document and splices it into the
   // link_from lists of its targets.
-  Status AddDocument(const storage::Document& doc,
+  Status AddDocument(const storage::StoredDocument& doc,
                      const http::ServerAddress& home, bool entry_point);
 
   // Replaces link_to of `name` after a content change, fixing up the
   // link_from lists on both the old and new target sets, and marks the
   // document dirty so it is regenerated on next request.
   Status UpdateContent(const std::string& name,
-                       const storage::Document& doc);
+                       const storage::StoredDocument& doc);
 
   Result<DocumentRecord> Lookup(const std::string& name) const;
 
@@ -154,7 +154,7 @@ class LocalDocumentGraph {
 // references, resolved and deduplicated, in first-occurrence order.
 // Non-HTML documents reference nothing.
 std::vector<std::string> ExtractInternalTargets(
-    const storage::Document& doc);
+    const storage::StoredDocument& doc);
 
 }  // namespace dcws::graph
 

@@ -66,12 +66,6 @@ std::string Request::Serialize() const {
   return out;
 }
 
-void Response::OwnEntity() {
-  if (shared_body == nullptr) return;
-  body = *shared_body;
-  shared_body.reset();
-}
-
 std::string Response::SerializeHead() const {
   std::string out;
   out.reserve(128);

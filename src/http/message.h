@@ -68,23 +68,29 @@ struct Request {
   std::string Serialize() const;
 };
 
+// Entity bytes shared with their owner (a stored document version)
+// rather than copied into the response.
+struct SharedEntity {
+  // Keeps `bytes` and `fd` valid for as long as the response holds it.
+  std::shared_ptr<const void> owner;
+  std::string_view bytes;
+  // A sealed memfd holding exactly `bytes`, which the TCP host sends
+  // with sendfile(2); -1 when the bytes are on the heap.
+  int fd = -1;
+};
+
 struct Response {
   int status_code = 200;
   std::string version = "HTTP/1.0";
   HeaderMap headers;
   std::string body;
-  // Shared, immutable entity bytes (a stored document version, written
-  // to the socket without a copy).  When set, this is the entity and
-  // `body` is empty.
-  std::shared_ptr<const std::string> shared_body;
+  // When it has an owner, this is the entity and `body` is empty.
+  SharedEntity shared;
 
-  // The entity: `shared_body` when set, otherwise `body`.
-  const std::string& entity() const {
-    return shared_body != nullptr ? *shared_body : body;
+  // The entity: the shared bytes when set, otherwise `body`.
+  std::string_view entity() const {
+    return shared.owner != nullptr ? shared.bytes : std::string_view(body);
   }
-  // Copies shared entity bytes into `body` and drops the share; for
-  // in-process hand-offs, whose readers use `body`.
-  void OwnEntity();
 
   // Status line and headers up to the blank line; Content-Length comes
   // from entity() unless a header sets it.

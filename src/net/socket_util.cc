@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -95,8 +96,8 @@ Result<Socket> ConnectLoopback(uint16_t port) {
   return socket;
 }
 
-Status WriteAll(const Socket& socket,
-                std::span<const std::string_view> parts) {
+Status WriteAll(const Socket& socket, std::span<const std::string_view> parts,
+                bool more_follows) {
   std::vector<iovec> iov;
   iov.reserve(parts.size());
   for (std::string_view part : parts) {
@@ -108,7 +109,8 @@ Status WriteAll(const Socket& socket,
     msghdr msg{};
     msg.msg_iov = iov.data() + next;
     msg.msg_iovlen = std::min<size_t>(iov.size() - next, IOV_MAX);
-    ssize_t n = ::sendmsg(socket.fd(), &msg, MSG_NOSIGNAL);
+    ssize_t n = ::sendmsg(socket.fd(), &msg,
+                          MSG_NOSIGNAL | (more_follows ? MSG_MORE : 0));
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::Unavailable(Errno("sendmsg"));
@@ -129,6 +131,23 @@ Status WriteAll(const Socket& socket,
 
 Status WriteAll(const Socket& socket, std::string_view data) {
   return WriteAll(socket, std::span<const std::string_view>(&data, 1));
+}
+
+Status SendFile(const Socket& socket, int fd, size_t size) {
+  off_t offset = 0;  // sendfile advances it past every byte it sends
+  while (static_cast<size_t>(offset) < size) {
+    ssize_t n = ::sendfile(socket.fd(), fd, &offset,
+                           size - static_cast<size_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (offset == 0 && (errno == EINVAL || errno == ENOSYS)) {
+        return Status::Unimplemented(Errno("sendfile"));
+      }
+      return Status::Unavailable(Errno("sendfile"));
+    }
+    if (n == 0) return Status::Unavailable("sendfile: file ended early");
+  }
+  return Status::Ok();
 }
 
 Result<size_t> ReadInto(const Socket& socket, std::span<char> buffer) {

@@ -47,10 +47,22 @@ Result<Socket> ConnectLoopback(uint16_t port);
 // Blocking full write of `parts`, in order, as one byte stream: one
 // vectored sendmsg per round (MSG_NOSIGNAL), resuming a partial send at
 // the first unsent byte of the buffer it stopped in; EINTR retries.
-Status WriteAll(const Socket& socket, std::span<const std::string_view> parts);
+// `more_follows` adds MSG_MORE: the caller sends more bytes next, so the
+// kernel holds a short tail back to go out with them.
+Status WriteAll(const Socket& socket, std::span<const std::string_view> parts,
+                bool more_follows = false);
 
 // Blocking full write of one buffer (the vectored write above).
 Status WriteAll(const Socket& socket, std::string_view data);
+
+// Blocking full send of the first `size` bytes of the file `fd` with
+// sendfile(2): the kernel attaches the file's pages to the socket without
+// copying them.  Partial sends resume and EINTR retries.  Returns
+// Unimplemented, having sent nothing, when the kernel cannot sendfile
+// from `fd` to this socket (EINVAL or ENOSYS before the first byte), so
+// the caller can write the bytes itself.  sendfile(2) has no
+// MSG_NOSIGNAL: a thread that calls this blocks SIGPIPE.
+Status SendFile(const Socket& socket, int fd, size_t size);
 
 // Blocking read into `buffer`; returns the byte count, 0 = orderly
 // shutdown.  EINTR retries.

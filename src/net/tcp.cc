@@ -1,11 +1,14 @@
 #include "src/net/tcp.h"
 
 #include <poll.h>
+#include <pthread.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -17,14 +20,53 @@ namespace dcws::net {
 
 namespace {
 
-// Every response the host writes: the serialized head and the entity go
+// Every response the host writes.  The serialized head and the entity go
 // out in one vectored write, so a stored document is sent from the
-// store's bytes without being copied behind its head.
+// store's bytes without being copied behind its head.  A sealed
+// version's body goes out with sendfile(2) instead, behind a head held
+// back with MSG_MORE: the kernel attaches the memfd's pages to the
+// socket by reference, so the host copies nothing.
 Status WriteResponse(const Socket& conn, const http::Response& response) {
   std::string head = response.SerializeHead();
   std::string_view parts[] = {head, response.entity()};
-  return WriteAll(conn, parts);
+  if (response.shared.fd < 0) return WriteAll(conn, parts);
+  DCWS_RETURN_IF_ERROR(
+      WriteAll(conn, std::span<const std::string_view>(parts, 1), true));
+  Status sent = SendFile(conn, response.shared.fd, response.entity().size());
+  if (sent.code() != StatusCode::kUnimplemented) return sent;
+  // This kernel cannot sendfile from the memfd: write the mapping.
+  return WriteAll(conn, response.entity());
 }
+
+// Paces an accept loop while the process has no free descriptor.
+// accept(2) allocates the new descriptor before it looks at the queue,
+// so at the limit it fails at once, connection queued or not, and
+// retrying at once would spin.  One per accepting thread.
+class AcceptPacer {
+ public:
+  // After accept(2) returned `fd`, with `error` its errno: backs off if
+  // it failed for want of descriptors or memory, logging the errno once
+  // per episode.
+  void After(int fd, int error) {
+    if (fd >= 0) {
+      starved_ = false;
+      return;
+    }
+    if (error != EMFILE && error != ENFILE && error != ENOBUFS &&
+        error != ENOMEM) {
+      return;
+    }
+    if (!starved_) {
+      DCWS_LOG(kWarning) << "accept: " << std::strerror(error)
+                         << "; retrying every 10 ms";
+    }
+    starved_ = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+ private:
+  bool starved_ = false;
+};
 
 http::Response MakeBadRequest() {
   http::Response bad;
@@ -98,7 +140,13 @@ void TcpServerHost::Stop() {
   pending_.clear();  // RAII closes any queued connections
 }
 
+TcpServerHost::AcceptState TcpServerHost::accept_state() {
+  MutexLock lock(mutex_);
+  return {front_end_accepting_, idle_workers_};
+}
+
 void TcpServerHost::FrontEndLoop() {
+  AcceptPacer pacer;
   while (true) {
     {
       MutexLock lock(mutex_);
@@ -114,7 +162,9 @@ void TcpServerHost::FrontEndLoop() {
                       {step_back_.fd(), POLLIN, 0}};
     if (::poll(ready, 2, -1) <= 0) continue;
     if (ready[1].revents == 0) {
-      Admit(Socket(::accept(listener_.fd(), nullptr, nullptr)));
+      int fd = ::accept(listener_.fd(), nullptr, nullptr);
+      pacer.After(fd, errno);
+      Admit(Socket(fd));
       continue;
     }
     uint64_t calls = 0;
@@ -189,6 +239,14 @@ void TcpServerHost::LeaveIdleLocked() {
 }
 
 void TcpServerHost::WorkerLoop() {
+  // sendfile(2) has no MSG_NOSIGNAL, and a client that closes mid-body
+  // would raise SIGPIPE, whose default action ends the process.  Blocked
+  // here, it stays pending on this thread and does nothing.
+  sigset_t pipe;
+  sigemptyset(&pipe);
+  sigaddset(&pipe, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &pipe, nullptr);
+  AcceptPacer pacer;
   while (true) {
     Socket conn;
     std::optional<MicroTime> queued_at;
@@ -209,11 +267,16 @@ void TcpServerHost::WorkerLoop() {
     if (!conn.valid()) {
       // Nothing queued and the front end has stepped back: accept here
       // and serve the connection without a hand-off.
-      conn = Socket(::accept(listener_.fd(), nullptr, nullptr));
-      MutexLock lock(mutex_);
-      if (stopping_) return;
+      int fd = ::accept(listener_.fd(), nullptr, nullptr);
+      int error = errno;
+      conn = Socket(fd);
+      {
+        MutexLock lock(mutex_);
+        if (stopping_) return;
+        if (conn.valid()) LeaveIdleLocked();
+      }
+      pacer.After(fd, error);
       if (!conn.valid()) continue;
-      LeaveIdleLocked();
     }
     // Busy.  Serve, then take the next queued connection without going
     // idle, so the front end keeps the listener while the queue lasts.

@@ -56,6 +56,14 @@ class TcpServerHost {
   core::Server& server() { return *server_; }
   uint16_t port() const { return port_; }
 
+  // Who accepts, read together under mutex_: whether the front end owns
+  // the listener, and how many workers are idle.  Tests wait on it.
+  struct AcceptState {
+    bool front_end_accepting = false;
+    int idle_workers = 0;
+  };
+  AcceptState accept_state();
+
  private:
   TcpServerHost(core::Server* server, TcpNetwork* network);
 

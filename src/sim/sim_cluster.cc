@@ -25,7 +25,7 @@ MicroTime SimHost::ServiceTime(const http::Response& response,
   // aggregate cap checked by experiment drivers; per-connection we pay
   // the server NIC, the slower of the two for any single transfer).
   cost += static_cast<MicroTime>(
-      static_cast<double>(response.body.size()) * kMicrosPerSecond /
+      static_cast<double>(response.entity().size()) * kMicrosPerSecond /
       static_cast<double>(nic));
   if (trace.coop_fetch) {
     // Synchronous pull from the home server: connection round trip plus
@@ -78,8 +78,6 @@ void SimHost::StartNext() {
   }
   http::Response response =
       server_->HandleRequest(pending.request, world_, &trace);
-  // Clients and the NIC model (ServiceTime) read `body`.
-  response.OwnEntity();
   MicroTime service = ServiceTime(response, trace) + background_debt_;
   background_debt_ = 0;
 
@@ -199,7 +197,6 @@ Result<http::Response> SimWorld::Execute(
   core::RequestTrace trace;
   http::Response response =
       host->server().HandleRequest(request, this, &trace);
-  response.OwnEntity();
   host->ChargeBackground(host->ServiceTime(response, trace));
   return response;
 }
@@ -236,7 +233,7 @@ void SimWorld::CountClientResponse(const http::Response& response) {
   if (response.status_code == 200) {
     totals_.connections += 1;
     totals_.ok += 1;
-    totals_.bytes += response.body.size();
+    totals_.bytes += response.entity().size();
   } else if (response.IsRedirect()) {
     totals_.connections += 1;
     totals_.redirects += 1;

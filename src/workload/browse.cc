@@ -39,7 +39,7 @@ bool LooksLikeHtml(const http::Url& url) {
 
 }  // namespace
 
-PageLinks ClassifyLinks(const std::string& html,
+PageLinks ClassifyLinks(std::string_view html,
                         const http::Url& page_url) {
   PageLinks out;
   // Browsers coalesce repeated references: a bar-chart page rendering
@@ -176,10 +176,10 @@ Walk::Verdict Walk::OnResponse(FetchId id, const http::Response& response) {
   }
   if (response.status_code != 200) return Fail();
 
-  stats_.bytes += response.body.size();
+  stats_.bytes += response.entity().size();
   Page page;
   page.is_html = LooksLikeHtml(fetch.url);
-  if (page.is_html) page.links = ClassifyLinks(response.body, fetch.url);
+  if (page.is_html) page.links = ClassifyLinks(response.entity(), fetch.url);
   std::string final_key = fetch.url.ToString();
   if (fetch.origin_key != final_key) {
     cache_.insert_or_assign(fetch.origin_key, page);

@@ -5,6 +5,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -26,7 +27,7 @@ struct PageLinks {
   std::vector<http::Url> hyperlinks;
   std::vector<http::Url> images;
 };
-PageLinks ClassifyLinks(const std::string& html,
+PageLinks ClassifyLinks(std::string_view html,
                         const http::Url& page_url);
 
 // Uniform random choice; nullopt if empty.

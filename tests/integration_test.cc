@@ -86,7 +86,7 @@ class IntegrationTest : public ::testing::Test {
   // Strips link rewrites so content can be compared with the original:
   // any absolute URL pointing into the cluster is reduced to its plain
   // document path.
-  std::string CanonicalizeLinks(const std::string& html,
+  std::string CanonicalizeLinks(std::string_view html,
                                 const std::string& base_path) {
     auto result = html::RewriteLinks(
         html, base_path,

@@ -376,8 +376,7 @@ TEST_P(LdgProperty, LinkFromIsInverseOfLinkToUnderMutation) {
         doc.content = "<a href=\"" +
                       paths[rng_.NextBelow(paths.size())] + "\">x</a>";
         if (!doc.is_html()) break;
-        store.Put(doc);
-        ASSERT_TRUE(ldg.UpdateContent(name, doc).ok());
+        ASSERT_TRUE(ldg.UpdateContent(name, *store.Put(doc)).ok());
         break;
       }
     }

@@ -1,9 +1,14 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 
 #include "src/graph/ldg.h"
 #include "src/storage/document_store.h"
+#include "src/util/rng.h"
+#include "src/workload/site.h"
 
 namespace dcws {
 namespace {
@@ -30,8 +35,8 @@ TEST(DocumentStoreTest, PutGetRemove) {
   EXPECT_TRUE(store.Contains("/a.html"));
   auto doc = store.Get("/a.html");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ((*doc)->content, "<p>a</p>");
-  EXPECT_EQ((*doc)->content_type, "text/html");
+  EXPECT_EQ((*doc)->bytes(), "<p>a</p>");
+  EXPECT_EQ((*doc)->content_type(), "text/html");
 
   EXPECT_TRUE(store.Remove("/a.html").ok());
   EXPECT_FALSE(store.Contains("/a.html"));
@@ -69,15 +74,87 @@ TEST(DocumentStoreTest, HeldVersionKeepsItsBytesAfterReplaceAndRemove) {
   EXPECT_EQ(*read, first);  // a read shares the stored version
 
   storage::DocumentPtr second = store.Put(MakeDoc("/a.gif", "second"));
-  EXPECT_EQ(first->content, "first");
+  EXPECT_EQ(first->bytes(), "first");
   EXPECT_EQ(store.Get("/a.gif").value(), second);
 
   ASSERT_TRUE(store.Remove("/a.gif").ok());
   EXPECT_FALSE(store.Contains("/a.gif"));
-  EXPECT_EQ(first->content, "first");
-  EXPECT_EQ(second->content, "second");
-  EXPECT_EQ(second->path, "/a.gif");
+  EXPECT_EQ(first->bytes(), "first");
+  EXPECT_EQ(second->bytes(), "second");
+  EXPECT_EQ(second->path(), "/a.gif");
   EXPECT_EQ(store.TotalBytes(), 0u);
+}
+
+// Bodies from kSealedBodyBytes up live in a sealed memfd, by either Put;
+// smaller ones stay on the heap.
+TEST(DocumentStoreTest, SealsBodiesFromTheThresholdUp) {
+  DocumentStore store;
+  const std::string below(storage::kSealedBodyBytes - 1, 'b');
+  const std::string at(storage::kSealedBodyBytes, 'a');
+  storage::DocumentPtr heap = store.Put(MakeDoc("/below.gif", below));
+  EXPECT_EQ(heap->sealed_fd(), -1);
+  EXPECT_EQ(heap->bytes(), below);
+
+  for (storage::DocumentPtr sealed :
+       {store.Put(MakeDoc("/at.gif", at)),
+        store.Put("/borrowed.gif", at, "image/gif")}) {
+    ASSERT_GE(sealed->sealed_fd(), 0) << sealed->path();
+    int seals = ::fcntl(sealed->sealed_fd(), F_GET_SEALS);
+    EXPECT_EQ(seals & (F_SEAL_WRITE | F_SEAL_GROW | F_SEAL_SHRINK),
+              F_SEAL_WRITE | F_SEAL_GROW | F_SEAL_SHRINK);
+    EXPECT_TRUE(sealed->bytes() == at) << sealed->path();
+    EXPECT_EQ(sealed->content_type(), "image/gif");
+  }
+  EXPECT_EQ(store.TotalBytes(), below.size() + 2 * at.size());
+}
+
+// Sealed versions hold at most half the soft descriptor limit; past it a
+// large body stays on the heap, and a released version frees its place.
+// No other version in this process is sealed meanwhile.
+TEST(DocumentStoreTest, SealsNoMoreThanHalfTheDescriptorLimit) {
+  int floor = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(floor, 0);
+  ::close(floor);
+  // The descriptors open stay below floor + budget, under the limit, so
+  // only the budget keeps a version on the heap.
+  const size_t budget = static_cast<size_t>(floor) + 8;
+  struct RestoreLimit {
+    rlimit saved{};
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+  } restore;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &restore.saved), 0);
+  rlimit lowered = restore.saved;
+  lowered.rlim_cur = 2 * budget;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  DocumentStore store;
+  const std::string body(storage::kSealedBodyBytes, 's');
+  size_t sealed = 0;
+  for (size_t i = 0; i < budget + 4; ++i) {
+    storage::DocumentPtr version =
+        store.Put("/r" + std::to_string(i) + ".gif", body, "image/gif");
+    sealed += version->sealed_fd() >= 0;
+    EXPECT_TRUE(version->bytes() == body);
+  }
+  EXPECT_EQ(sealed, budget);
+  ASSERT_TRUE(store.Remove("/r0.gif").ok());
+  EXPECT_GE(store.Put("/again.gif", body, "image/gif")->sealed_fd(), 0);
+}
+
+// Every MAPUG body is below the threshold, so a holder of the whole site
+// spends no descriptor on it.
+TEST(DocumentStoreTest, MapugSiteHoldsNoMemfd) {
+  Rng rng(5);
+  DocumentStore store;
+  for (storage::Document& doc : workload::BuildMapug(rng).documents) {
+    store.Put(std::move(doc));
+  }
+  ASSERT_GT(store.Count(), 1000u);
+  size_t sealed = 0;
+  store.ForEach([&](const storage::StoredDocument& doc) {
+    sealed += doc.sealed_fd() >= 0;
+  });
+  EXPECT_EQ(sealed, 0u);
 }
 
 TEST(DocumentStoreTest, GuessContentType) {
@@ -171,22 +248,22 @@ TEST_F(LdgTest, StatsReflectGraph) {
 }
 
 TEST_F(LdgTest, AddDocumentWiresLinks) {
-  auto doc = MakeDoc("/F.html", "<a href=\"C.html\">c</a>");
-  store_.Put(doc);
-  ASSERT_TRUE(ldg_.AddDocument(doc, home_, false).ok());
+  storage::DocumentPtr doc =
+      store_.Put(MakeDoc("/F.html", "<a href=\"C.html\">c</a>"));
+  ASSERT_TRUE(ldg_.AddDocument(*doc, home_, false).ok());
   auto c = ldg_.Lookup("/C.html");
   EXPECT_TRUE(std::find(c->link_from.begin(), c->link_from.end(),
                         "/F.html") != c->link_from.end());
   EXPECT_TRUE(
-      ldg_.AddDocument(doc, home_, false).code() ==
+      ldg_.AddDocument(*doc, home_, false).code() ==
       StatusCode::kAlreadyExists);
 }
 
 TEST_F(LdgTest, UpdateContentRewiresLinks) {
   // B stops pointing at D, now points at C.
-  auto doc = MakeDoc("/B.html", "<a href=\"C.html\">c</a>");
-  store_.Put(doc);
-  ASSERT_TRUE(ldg_.UpdateContent("/B.html", doc).ok());
+  storage::DocumentPtr doc =
+      store_.Put(MakeDoc("/B.html", "<a href=\"C.html\">c</a>"));
+  ASSERT_TRUE(ldg_.UpdateContent("/B.html", *doc).ok());
 
   auto d = ldg_.Lookup("/D.html");
   EXPECT_EQ(d->link_from, std::vector<std::string>{"/E.html"});
@@ -205,18 +282,21 @@ TEST_F(LdgTest, LinksToMissingDocumentsDropped) {
 }
 
 TEST_F(LdgTest, ExtractInternalTargetsDedupes) {
-  auto doc = MakeDoc("/m.html",
-                     "<a href=\"x.html\">1</a><a href=\"x.html\">2</a>"
-                     "<img src=\"x.html\">"
-                     "<a href=\"http://other:80/y.html\">ext</a>"
-                     "<a href=\"m.html\">self</a>");
+  storage::StoredDocument doc(
+      "/m.html",
+      "<a href=\"x.html\">1</a><a href=\"x.html\">2</a>"
+      "<img src=\"x.html\">"
+      "<a href=\"http://other:80/y.html\">ext</a>"
+      "<a href=\"m.html\">self</a>",
+      "text/html");
   auto targets = graph::ExtractInternalTargets(doc);
   ASSERT_EQ(targets.size(), 1u);
   EXPECT_EQ(targets[0], "/x.html");
 }
 
 TEST_F(LdgTest, NonHtmlHasNoLinks) {
-  auto doc = MakeDoc("/i.gif", "<a href=\"x.html\">not parsed</a>");
+  storage::StoredDocument doc("/i.gif", "<a href=\"x.html\">not parsed</a>",
+                              "image/gif");
   EXPECT_TRUE(graph::ExtractInternalTargets(doc).empty());
 }
 

@@ -2,9 +2,14 @@
 // genuine HTTP/1.0 wire traffic between clients and servers and between
 // the cooperating servers themselves.
 
+#include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <pthread.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <barrier>
@@ -12,6 +17,7 @@
 #include <csignal>
 #include <thread>
 
+#include "src/migrate/naming.h"
 #include "src/net/tcp.h"
 #include "src/obs/export.h"
 #include "src/storage/fs.h"
@@ -39,6 +45,12 @@ storage::Document Doc(std::string path, std::string content) {
   return doc;
 }
 
+http::Request Get(const std::string& target) {
+  http::Request req;
+  req.target = target;
+  return req;
+}
+
 // `size` pseudo-random bytes: a write resumed at the wrong byte, or in
 // the wrong buffer, cannot reproduce them.
 std::string Pattern(size_t size, uint32_t seed) {
@@ -50,6 +62,74 @@ std::string Pattern(size_t size, uint32_t seed) {
   }
   return out;
 }
+
+std::string ReadToEof(const Socket& conn) {
+  std::string wire;
+  char buffer[4096];
+  while (true) {
+    auto read = ReadInto(conn, buffer);
+    EXPECT_TRUE(read.ok()) << read.status();
+    if (!read.ok() || *read == 0) return wire;
+    wire.append(buffer, *read);
+  }
+}
+
+// A HEAD of `path` answers 200 with the GET's Content-Length and no
+// body.  The reply is read to EOF: a framer would wait for the
+// advertised length.
+void ExpectHeadHasGetLengthAndNoBody(uint16_t port, const std::string& path,
+                                     size_t get_length) {
+  auto conn = ConnectLoopback(port);
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(WriteAll(*conn, "HEAD " + path + " HTTP/1.0\r\n\r\n").ok());
+  std::string wire = ReadToEof(*conn);
+  EXPECT_EQ(wire.rfind("HTTP/1.0 200", 0), 0u) << wire;
+  EXPECT_NE(wire.find("Content-Length: " + std::to_string(get_length) +
+                      "\r\n"),
+            std::string::npos)
+      << wire;
+  size_t head_end = wire.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos) << wire;
+  EXPECT_EQ(wire.size(), head_end + 4) << "HEAD reply carried body bytes";
+}
+
+// The seals on a stored version's memfd, or -1 when it is on the heap.
+int SealsOf(core::Server& server, const std::string& path) {
+  auto version = server.store().Get(path);
+  EXPECT_TRUE(version.ok()) << version.status();
+  if (!version.ok() || (*version)->sealed_fd() < 0) return -1;
+  return ::fcntl((*version)->sealed_fd(), F_GET_SEALS);
+}
+
+// While alive, the soft RLIMIT_NOFILE is `soft_limit`.  The kernel hands
+// out the lowest free descriptor number, so a limit of
+// LowestFreeDescriptor() leaves none free.  A test probes that number
+// before a host opens its descriptors, so that none the host closes
+// fits under the limit either.
+class DescriptorLimit {
+ public:
+  explicit DescriptorLimit(int soft_limit) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(soft_limit);
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~DescriptorLimit() { Restore(); }
+  DescriptorLimit(const DescriptorLimit&) = delete;
+  DescriptorLimit& operator=(const DescriptorLimit&) = delete;
+
+  void Restore() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+  static int LowestFreeDescriptor() {
+    int probe = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    EXPECT_GE(probe, 0);
+    ::close(probe);
+    return probe;
+  }
+
+ private:
+  rlimit saved_{};
+};
 
 class TcpTest : public ::testing::Test {
  protected:
@@ -74,12 +154,6 @@ class TcpTest : public ::testing::Test {
   }
 
   ~TcpTest() override { network_.StopAll(); }
-
-  http::Request Get(const std::string& target) {
-    http::Request req;
-    req.target = target;
-    return req;
-  }
 
   WallClock clock_;
   core::Server home_;
@@ -119,27 +193,140 @@ TEST_F(TcpTest, HeadOfStoredDocumentHasGetLengthAndNoBody) {
   auto get = TcpCall(home_port_, Get("/pic.gif"));
   ASSERT_TRUE(get.ok()) << get.status();
   ASSERT_EQ(get->body.size(), 1000u);
+  ExpectHeadHasGetLengthAndNoBody(home_port_, "/pic.gif", get->body.size());
+}
 
-  // Read the raw reply to EOF: a framer would wait for the advertised
-  // length, which a HEAD reply must not carry.
+// ------------------------------------------------------- sealed bodies
+//
+// A body of at least storage::kSealedBodyBytes is stored in a sealed
+// memfd, its only copy, and the host sends it with sendfile(2) behind a
+// head held back with MSG_MORE.
+
+class TcpSealedTest : public TcpTest {
+ protected:
+  TcpSealedTest() : raster_(Pattern(40 * storage::kSealedBodyBytes + 5, 11)) {
+    EXPECT_TRUE(home_.PutDocument(Doc("/raster.gif", raster_)).ok());
+  }
+
+  std::string raster_;
+};
+
+TEST_F(TcpSealedTest, HeadHasGetLengthAndNoBody) {
+  ASSERT_NE(SealsOf(home_, "/raster.gif"), -1);
+  ExpectHeadHasGetLengthAndNoBody(home_port_, "/raster.gif", raster_.size());
+}
+
+// The response holds the version it started with: the author's new
+// bytes go into a new memfd, and the old pages, sealed, cannot change
+// under the socket.  8 MiB is more than loopback buffers take unread, so
+// most of the body is still unsent when the author writes.
+TEST_F(TcpSealedTest, ReplacedMidResponseSendsTheOldBytes) {
+  const std::string before = Pattern(8 << 20, 21);
+  const std::string after = Pattern(8 << 20, 22);
+  ASSERT_TRUE(home_.PutDocument(Doc("/big.gif", before)).ok());
+  ASSERT_NE(SealsOf(home_, "/big.gif"), -1);
+
   auto conn = ConnectLoopback(home_port_);
   ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE(WriteAll(*conn, "HEAD /pic.gif HTTP/1.0\r\n\r\n").ok());
+  ASSERT_TRUE(WriteAll(*conn, "GET /big.gif HTTP/1.0\r\n\r\n").ok());
   std::string wire;
   char buffer[4096];
-  while (true) {
+  while (wire.size() < storage::kSealedBodyBytes) {
     auto read = ReadInto(*conn, buffer);
     ASSERT_TRUE(read.ok()) << read.status();
-    if (*read == 0) break;
+    ASSERT_GT(*read, 0u) << "closed early";
     wire.append(buffer, *read);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  std::string length(get->headers.Get("Content-Length").value());
-  EXPECT_EQ(wire.rfind("HTTP/1.0 200", 0), 0u) << wire;
-  EXPECT_NE(wire.find("Content-Length: " + length + "\r\n"), std::string::npos)
-      << wire;
+  ASSERT_TRUE(home_.PutDocument(Doc("/big.gif", after)).ok());
+  wire += ReadToEof(*conn);
+
   size_t head_end = wire.find("\r\n\r\n");
-  ASSERT_NE(head_end, std::string::npos) << wire;
-  EXPECT_EQ(wire.size(), head_end + 4) << "HEAD reply carried body bytes";
+  ASSERT_NE(head_end, std::string::npos);
+  EXPECT_EQ(wire.size() - head_end - 4, before.size());
+  EXPECT_TRUE(wire.compare(head_end + 4, std::string::npos, before) == 0)
+      << "the body is not exactly the version the response started with";
+
+  auto stored = home_.store().Get("/big.gif");
+  ASSERT_TRUE(stored.ok());
+  EXPECT_TRUE((*stored)->bytes() == after);
+}
+
+// The co-op reads the home's sendfile'd body off its socket and seals
+// its own copy.
+TEST_F(TcpSealedTest, CoopFetchArrivesByteExactAndIsSealedAtTheCoop) {
+  const std::string target =
+      migrate::EncodeMigratedTarget(home_.address(), "/raster.gif");
+  auto response = TcpCall(coop_port_, Get(target));
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_EQ(response->status_code, 200);
+  EXPECT_EQ(response->body.size(), raster_.size());
+  EXPECT_TRUE(response->body == raster_);
+  EXPECT_EQ(coop_.counters().coop_fetches, 1u);
+  EXPECT_NE(SealsOf(coop_, target) & F_SEAL_WRITE, 0);
+}
+
+// Tests that lower the descriptor limit.  Each stores its versions on a
+// server whose host is not running yet, so no thread of the test closes
+// a descriptor under the probed limit or needs one while it is low.
+
+// Sealing fails when no descriptor is free for the memfd; the version
+// stays on the heap and goes out by the vectored write.
+TEST(TcpSealedLimitTest, FailedSealKeepsTheVersionOnTheHeap) {
+  const std::string body = Pattern(3 * storage::kSealedBodyBytes, 31);
+  WallClock clock;
+  core::Server server({"tcp-heap", 8600}, FastParams(), &clock);
+  {
+    DescriptorLimit limit(DescriptorLimit::LowestFreeDescriptor());
+    ASSERT_TRUE(server.PutDocument(Doc("/heap.gif", body)).ok());
+  }
+  EXPECT_EQ(SealsOf(server, "/heap.gif"), -1);
+  TcpNetwork network;
+  auto host = network.AddServer(&server);
+  ASSERT_TRUE(host.ok()) << host.status();
+  auto response = TcpCall((*host)->port(), Get("/heap.gif"));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->status_code, 200);
+  EXPECT_TRUE(response->body == body);
+  network.StopAll();
+}
+
+// Sealed versions take at most half the soft limit, so a site with a
+// large body for every descriptor the limit allows still leaves the
+// host descriptors for its listener and connections: 32 beyond those
+// already open and the budget.  Every earlier test in this process has
+// released its sealed versions.
+TEST(TcpSealedLimitTest, LargeSiteLeavesHalfTheDescriptorsToSockets) {
+  const int floor = DescriptorLimit::LowestFreeDescriptor();
+  DescriptorLimit limit(2 * floor + 64);
+  const size_t budget = static_cast<size_t>(floor) + 32;
+  std::vector<storage::Document> site;
+  for (size_t i = 0; i < 2 * budget; ++i) {
+    site.push_back(Doc("/r" + std::to_string(i) + ".gif",
+                       Pattern(storage::kSealedBodyBytes,
+                               static_cast<uint32_t>(i))));
+  }
+  WallClock clock;
+  core::Server server({"tcp-large", 8601}, FastParams(), &clock);
+  ASSERT_TRUE(server.LoadSite(site, {}).ok());
+  size_t sealed = 0;
+  for (const storage::Document& doc : site) {
+    sealed += SealsOf(server, doc.path) != -1;
+  }
+  EXPECT_EQ(sealed, budget);
+  EXPECT_NE(SealsOf(server, site.front().path), -1);
+  EXPECT_EQ(SealsOf(server, site.back().path), -1);
+
+  TcpNetwork network;
+  auto host = network.AddServer(&server);
+  ASSERT_TRUE(host.ok()) << host.status();
+  for (const storage::Document& doc : {site.front(), site.back()}) {
+    auto response = TcpCall((*host)->port(), Get(doc.path));
+    ASSERT_TRUE(response.ok()) << doc.path << ": " << response.status();
+    EXPECT_EQ(response->status_code, 200) << doc.path;
+    EXPECT_TRUE(response->body == doc.content) << doc.path;
+  }
+  network.StopAll();
 }
 
 // A blocking send comes back short only when a signal interrupts it, so
@@ -200,6 +387,24 @@ TEST(SocketUtilTest, VectoredWriteResumesInterruptedPartialSends) {
   EXPECT_TRUE(status.ok()) << status;
   EXPECT_EQ(received.size(), expected.size());
   EXPECT_TRUE(received == expected);
+}
+
+// A source sendfile(2) cannot read from is reported before any byte
+// goes out, so the host can write the body from its mapping instead.
+TEST(SocketUtilTest, SendFileReportsAnUnsupportedSourceBeforeSending) {
+  int ends[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+  Socket writer(ends[0]);
+  Socket reader(ends[1]);
+  Socket source(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+  ASSERT_TRUE(source.valid());
+  Status sent = SendFile(writer, source.fd(), 3);
+  EXPECT_EQ(sent.code(), StatusCode::kUnimplemented) << sent;
+  writer.Close();
+  char byte;
+  auto read = ReadInto(reader, std::span<char>(&byte, 1));
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, 0u) << "bytes went out before the failure";
 }
 
 TEST_F(TcpTest, NotFoundAndBadRequests) {
@@ -412,15 +617,30 @@ TEST(TcpBacklogTest, OverflowDrops503) {
 //
 // An idle worker accepts and serves its own connection; the front end
 // accepts only while every worker is busy, and only a connection that
-// waited in its socket queue records a queue_wait phase.  The 20 ms
-// sleeps below let a step land that the host gives no signal for: a
-// client has its response before the worker has gone idle.
+// waited in its socket queue records a queue_wait phase.  A client has
+// its response before the worker has gone idle, so the tests wait on
+// TcpServerHost::accept_state() for the step they assume.
 
 uint64_t QueueWaitCount(const core::Server& server) {
   auto snapshot = server.metrics().Snapshot();
   const obs::MetricSnapshot* queue_wait = obs::FindMetric(
       snapshot, "dcws_phase_latency_us", {{"phase", "queue_wait"}});
   return queue_wait == nullptr ? 0 : queue_wait->hist.count;
+}
+
+// Waits up to 5 s for `host` to reach the accept state a step assumes.
+void AwaitAcceptState(TcpServerHost* host, bool front_end_accepting,
+                      int idle_workers) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  TcpServerHost::AcceptState state = host->accept_state();
+  while ((state.front_end_accepting != front_end_accepting ||
+          state.idle_workers != idle_workers) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    state = host->accept_state();
+  }
+  ASSERT_EQ(state.front_end_accepting, front_end_accepting);
+  ASSERT_EQ(state.idle_workers, idle_workers);
 }
 
 // A request head that never ends pins a worker.
@@ -489,7 +709,7 @@ TEST(TcpAcceptTest, SaturatedHostQueuesThenRecovers) {
 
   // Once the burst is over the workers accept again: the worker that
   // served the last connection called the front end off.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  AwaitAcceptState(*host, false, 3);
   EXPECT_EQ(SequentialGets(port, "/x.html", 200), 200);
   EXPECT_EQ(QueueWaitCount(server), after_burst);
   network.StopAll();
@@ -514,9 +734,9 @@ TEST(TcpAcceptTest, PinnedWorkerQueuesToLsqAndShedsTheRest) {
 
   // The idle worker accepts the pin itself, and the front end takes the
   // listener.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  AwaitAcceptState(*host, false, 1);
   Socket pin = Pin(port);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  AwaitAcceptState(*host, true, 0);
 
   std::atomic<int> served{0};
   std::atomic<int> shed{0};
@@ -554,9 +774,119 @@ TEST(TcpAcceptTest, PinnedWorkerQueuesToLsqAndShedsTheRest) {
   // The worker, idle again, called the front end off, so the next
   // connection reaches the worker directly: exactly the two queued
   // connections waited in the queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  AwaitAcceptState(*host, false, 1);
   EXPECT_EQ(SequentialGets(port, "/x.html", 1), 1);
   EXPECT_EQ(QueueWaitCount(server), queued_before + 2);
+  network.StopAll();
+}
+
+// accept(2) allocates the new descriptor before it looks at the queue,
+// so with none free it fails at once, connection waiting or not.  An
+// accepting thread backs off instead of spinning, and serves the waiting
+// connection once a descriptor is free again.  The host runs in the test
+// process, so client sockets are made before the limit drops.
+
+// A loopback client socket, made now and connected later.
+Socket Unconnected() {
+  Socket conn(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  EXPECT_TRUE(conn.valid());
+  return conn;
+}
+
+void ConnectAndSend(const Socket& conn, uint16_t port,
+                    std::string_view wire) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::connect(conn.fd(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  ASSERT_TRUE(WriteAll(conn, wire).ok());
+}
+
+// Process CPU time, every thread's, user and system.
+MicroTime ProcessCpu() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  auto micros = [](timeval t) {
+    return static_cast<MicroTime>(t.tv_sec) * kMicrosPerSecond + t.tv_usec;
+  };
+  return micros(usage.ru_utime) + micros(usage.ru_stime);
+}
+
+// One thread retrying accept(2) at once burns the whole 200 ms.
+void ExpectIdleFor200Ms() {
+  MicroTime before = ProcessCpu();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(ProcessCpu() - before, Millis(50))
+      << "an accept loop spins while no descriptor is free";
+}
+
+TEST(TcpAcceptTest, IdleWorkerBacksOffWhileNoDescriptorIsFree) {
+  // Every descriptor the host opens numbers at least `floor`, so none it
+  // closes fits under a limit of `floor`.
+  const int floor = DescriptorLimit::LowestFreeDescriptor();
+  WallClock clock;
+  core::ServerParams params = FastParams();
+  params.worker_threads = 1;
+  core::Server server({"tcp-nofd", 8500}, params, &clock);
+  ASSERT_TRUE(server.LoadSite({Doc("/x.html", "<p>x</p>")}, {}).ok());
+  TcpNetwork network;
+  auto host = network.AddServer(&server);
+  ASSERT_TRUE(host.ok());
+  uint16_t port = (*host)->port();
+  Socket first = Unconnected();
+  Socket waiting = Unconnected();
+  // The worker takes `first`, its request unfinished, before the limit
+  // drops.
+  ConnectAndSend(first, port, "GET /x.html HTTP/1.0\r\n");
+  AwaitAcceptState(*host, true, 0);
+
+  DescriptorLimit limit(floor);
+  // Served, `first` leaves the worker idle, and its next accept() finds
+  // no descriptor.
+  ASSERT_TRUE(WriteAll(first, "\r\n").ok());
+  auto served = ReadResponse(first);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->status_code, 200);
+  ConnectAndSend(waiting, port, "GET /x.html HTTP/1.0\r\n\r\n");
+  ExpectIdleFor200Ms();
+
+  limit.Restore();
+  auto response = ReadResponse(waiting);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->status_code, 200);
+  network.StopAll();
+}
+
+TEST(TcpAcceptTest, FrontEndBacksOffWhileNoDescriptorIsFree) {
+  const int floor = DescriptorLimit::LowestFreeDescriptor();
+  WallClock clock;
+  core::ServerParams params = FastParams();
+  params.worker_threads = 1;
+  core::Server server({"tcp-nofd", 8500}, params, &clock);
+  ASSERT_TRUE(server.LoadSite({Doc("/x.html", "<p>x</p>")}, {}).ok());
+  TcpNetwork network;
+  auto host = network.AddServer(&server);
+  ASSERT_TRUE(host.ok());
+  uint16_t port = (*host)->port();
+  Socket pin = Unconnected();
+  Socket waiting = Unconnected();
+  // The pinned worker leaves the listener to the front end.
+  ConnectAndSend(pin, port, "GET /x.html HTTP/1.0\r\n");
+  AwaitAcceptState(*host, true, 0);
+
+  DescriptorLimit limit(floor);
+  ConnectAndSend(waiting, port, "GET /x.html HTTP/1.0\r\n\r\n");
+  ExpectIdleFor200Ms();
+
+  // The front end queues `waiting`; the released worker serves it.
+  limit.Restore();
+  pin.Close();
+  auto response = ReadResponse(waiting);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->status_code, 200);
   network.StopAll();
 }
 
