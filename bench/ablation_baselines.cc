@@ -36,7 +36,6 @@ void Run() {
     // DCWS proper.
     {
       sim::ExperimentConfig config;
-      config.sim.params = bench::PaperParams();
       config.sim.servers = servers;
       config.sim.seed = 42;
       config.clients = clients;
@@ -66,7 +65,6 @@ void Run() {
     // Round-robin DNS.
     {
       baseline::RrDnsConfig config;
-      config.sim.params = bench::PaperParams();
       config.sim.servers = servers;
       config.sim.seed = 42;
       config.clients = clients;
@@ -84,7 +82,6 @@ void Run() {
     // Centralized router.
     {
       baseline::CentralRouterConfig config;
-      config.sim.params = bench::PaperParams();
       config.sim.servers = servers;
       config.sim.seed = 42;
       config.clients = clients;

@@ -22,7 +22,6 @@ sim::ExperimentResult RunProfile(const workload::SiteSpec& site,
                                  std::vector<sim::HostProfile> profiles,
                                  int servers, int clients) {
   sim::ExperimentConfig config;
-  config.sim.params = bench::PaperParams();
   config.sim.servers = servers;
   config.sim.seed = 42;
   config.sim.host_profiles = std::move(profiles);
@@ -71,7 +70,6 @@ void Run() {
     for (int i = 1; i <= 3; ++i) mixed[i].cpu_scale = 2.0;
 
     sim::ExperimentConfig config;
-    config.sim.params = bench::PaperParams();
     config.sim.servers = servers;
     config.sim.seed = 42;
     config.sim.host_profiles = mixed;

@@ -20,7 +20,7 @@ void Run(const std::string& metrics_json) {
   bench::PrintHeader(
       "Figure 6: DCWS performance, LOD dataset, increasing clients");
   bench::MetricsJsonWriter metrics_writer(metrics_json);
-  core::ServerParams params = bench::PaperParams();
+  core::ServerParams params;
   bench::PrintTable1(params);
 
   std::vector<int> server_counts = {1, 2, 4, 8, 16};

@@ -24,7 +24,7 @@ void Run(const std::string& metrics_json) {
   bench::PrintHeader(
       "Figure 7: peak performance vs number of cooperating servers");
   bench::MetricsJsonWriter metrics_writer(metrics_json);
-  core::ServerParams params = bench::PaperParams();
+  core::ServerParams params;
 
   std::vector<int> server_counts = {1, 2, 4, 8, 16};
   std::vector<workload::Dataset> datasets = {

@@ -23,7 +23,6 @@ void Run() {
       "Figure 8: performance growth from a cold start (LOD, 16 servers)");
 
   sim::SimConfig sim_config;
-  sim_config.params = bench::PaperParams();
   sim_config.servers = 16;
   sim_config.seed = 42;
 

@@ -34,7 +34,6 @@ void Run(const std::string& metrics_json) {
   for (int servers : server_counts) {
     for (int clients : client_counts) {
       sim::ExperimentConfig config;
-      config.sim.params = bench::PaperParams();
       config.sim.servers = servers;
       config.sim.seed = 42;
       config.clients = clients;

@@ -91,10 +91,9 @@ BENCHMARK(BM_SelectionSnapshot);
 
 void BM_Algorithm1(benchmark::State& state) {
   auto views = LodGraph().SelectionSnapshot();
-  migrate::SelectionConfig config;
-  config.hit_threshold = 4;
   for (auto _ : state) {
-    auto pick = migrate::SelectDocumentForMigration(views, config);
+    auto pick = migrate::SelectDocumentForMigration(
+        views, core::ServerParams{}.hit_threshold);
     benchmark::DoNotOptimize(pick);
   }
 }

@@ -111,7 +111,7 @@ void Run() {
                                  "migr", "revoc", "fetches", "pings",
                                  "regens"});
     for (MicroTime value : {sweep.low, sweep.base, sweep.high}) {
-      core::ServerParams params = bench::PaperParams();
+      core::ServerParams params;
       sweep.apply(params, value);
       Observation obs = Observe(params);
       table.AddRow({std::to_string(value / kMicrosPerSecond),

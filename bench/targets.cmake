@@ -19,7 +19,6 @@ dcws_bench(fig8_growth)
 dcws_bench(table2_tuning)
 dcws_bench(ablation_baselines)
 dcws_bench(ablation_geo)
-dcws_bench(ablation_validation)
 dcws_bench(latency_profile)
 dcws_gbench(parse_overhead)
 dcws_gbench(micro_core)

@@ -6,7 +6,8 @@
 //
 // When the raster archive takes a request surge, its documents migrate
 // onto the manuscript server, and vice versa.  Each server is
-// simultaneously a home and a co-op.
+// simultaneously a home and a co-op.  Exits 1 if any client request
+// failed.
 //
 //   ./build/examples/digital_library
 
@@ -52,7 +53,7 @@ int main() {
   core::ServerParams params;
   params.stats_interval = Millis(250);
   params.load_window = Millis(250);
-  params.selection.hit_threshold = 1;
+  params.hit_threshold = 1;
   params.min_load_cps = 5;
 
   WallClock clock;
@@ -124,11 +125,13 @@ int main() {
               (unsigned long long)wc.served_coop,
               (unsigned long long)ec.requests,
               (unsigned long long)ec.served_coop);
+  uint64_t west_failures = west_crowd.stats().failures;
+  uint64_t east_failures = east_crowd.stats().failures;
   std::printf("client failures: %llu + %llu\n",
-              (unsigned long long)west_crowd.stats().failures,
-              (unsigned long long)east_crowd.stats().failures);
+              (unsigned long long)west_failures,
+              (unsigned long long)east_failures);
 
   network.StopAll();
   std::printf("digital_library done.\n");
-  return 0;
+  return west_failures + east_failures == 0 ? 0 : 1;
 }

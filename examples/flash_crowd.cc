@@ -77,7 +77,7 @@ int main() {
   sim::SimConfig config;
   config.servers = 6;
   config.seed = 23;
-  config.params.selection.hit_threshold = 2;
+  config.params.hit_threshold = 2;
 
   // The flash crowd: 180 concurrent readers from t = 0, cold cluster,
   // honest Table-1 migration pacing.

@@ -3,7 +3,8 @@
 // that loop: it synthesizes a Common-Log-Format access log for the LOD
 // site (Zipf-skewed document popularity, the kind real logs exhibit),
 // then replays it through a two-server DCWS group on loopback TCP and
-// reports how the cluster redistributed the recorded load.
+// reports how the cluster redistributed the recorded load.  Exits 1 if
+// any replayed request did not end in a 200.
 //
 //   ./build/examples/log_replay
 
@@ -38,7 +39,7 @@ int main() {
   core::ServerParams params;
   params.stats_interval = Millis(250);
   params.load_window = Millis(250);
-  params.selection.hit_threshold = 1;
+  params.hit_threshold = 1;
   params.min_load_cps = 5;
 
   WallClock clock;
@@ -111,5 +112,5 @@ int main() {
 
   network.StopAll();
   std::printf("log_replay done.\n");
-  return 0;
+  return errors == 0 ? 0 : 1;
 }

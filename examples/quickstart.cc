@@ -1,7 +1,7 @@
 // Quickstart: build a three-server DCWS group on loopback TCP in this
 // process, point a browsing client at it, overload the home server, and
 // watch a document migrate — links rewritten, stale URLs redirected —
-// all through the public API.
+// all through the public API.  Exits 1 if any client request failed.
 //
 //   ./build/examples/quickstart
 
@@ -21,7 +21,7 @@ int main() {
   params.stats_interval = Millis(300);
   params.load_window = Millis(300);
   params.pinger_interval = Millis(600);
-  params.selection.hit_threshold = 1;
+  params.hit_threshold = 1;
   params.min_load_cps = 5;
 
   WallClock clock;
@@ -118,6 +118,8 @@ int main() {
               static_cast<int>(page.entity().size()), page.entity().data());
 
   network.StopAll();
+  uint64_t failures = client.stats().failures;
+  std::printf("client failures: %llu\n", (unsigned long long)failures);
   std::printf("quickstart done.\n");
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

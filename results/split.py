@@ -13,7 +13,6 @@ import sys
 MARKERS = [
     ("Ablation: DCWS vs RR-DNS", "ablation_baselines.txt"),
     ("Ablation: geographic distribution", "ablation_geo.txt"),
-    ("Ablation: conditional revalidation", "ablation_validation.txt"),
     ("Figure 6: DCWS performance", "fig6.txt"),
     ("Figure 7: peak performance", "fig7.txt"),
     ("Figure 8: performance growth", "fig8.txt"),

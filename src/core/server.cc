@@ -1,7 +1,6 @@
 #include "src/core/server.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <unordered_map>
@@ -19,8 +18,9 @@ namespace dcws::core {
 
 namespace {
 
+// Requests for "/" map to this document when it exists.
+constexpr std::string_view kIndexPath = "/index.html";
 constexpr std::string_view kPingTarget = "/~ping";
-constexpr std::string_view kStatusTarget = "/~status";
 constexpr std::string_view kRevokePrefix = "/~revoke/";
 constexpr std::string_view kDcwsStatusTarget = "/.dcws/status";
 constexpr std::string_view kDcwsTracesTarget = "/.dcws/traces";
@@ -59,19 +59,6 @@ std::string RevokeToMigrateTarget(std::string_view revoke_target) {
   return out;
 }
 
-// Content fingerprint used as the ETag for conditional revalidation.
-std::string ContentEtag(std::string_view content) {
-  uint64_t hash = 1469598103934665603ULL;  // FNV-1a
-  for (unsigned char c : content) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "\"%016llx\"",
-                static_cast<unsigned long long>(hash));
-  return buf;
-}
-
 std::string MigrateToRevokeTarget(std::string_view migrate_target) {
   std::string out(kRevokePrefix);
   out.append(migrate_target.substr(migrate::kMigratePrefix.size()));
@@ -96,21 +83,18 @@ Server::Server(http::ServerAddress self, ServerParams params,
       clock_(clock),
       coop_table_(
           migrate::CoopHostTable::Config{params.validation_interval}),
-      pinger_(load::PingerPolicy::Config{params.pinger_interval,
-                                         params.pinger_max_failures}),
+      pinger_(params.pinger_interval),
       home_policy_(self_,
                    migrate::HomeMigrationPolicy::Config{
                        params.stats_interval, params.coop_accept_interval,
-                       params.remigrate_interval, params.selection,
-                       params.imbalance_factor, params.min_load_cps,
-                       params.revoke_imbalance_factor}),
+                       params.remigrate_interval, params.hit_threshold,
+                       params.min_load_cps}),
       rate_window_(params.load_window),
       trace_ids_(obs::SeedFromName(self_.ToString())),
-      recent_traces_(static_cast<size_t>(params.trace_ring_capacity)),
-      slow_traces_(static_cast<size_t>(params.trace_ring_capacity)),
-      journal_(self_.ToString(), clock,
-               static_cast<size_t>(params.event_journal_capacity)),
-      history_(static_cast<size_t>(params.history_ring_capacity)) {
+      recent_traces_(kTraceRingCapacity),
+      slow_traces_(kTraceRingCapacity),
+      journal_(self_.ToString(), clock, kEventJournalCapacity),
+      history_(kHistoryRingCapacity) {
   glt_.RegisterPeer(self_);  // before set_journal: no self PeerUp event
   glt_.set_journal(&journal_);
   pinger_.set_journal(&journal_);
@@ -139,7 +123,6 @@ void Server::InitMetrics() {
   ctr_internal_requests_ =
       registry_.GetCounter("dcws_internal_requests_total");
   ctr_stale_serves_ = registry_.GetCounter("dcws_stale_serves_total");
-  ctr_not_modified_ = registry_.GetCounter("dcws_not_modified_total");
   ctr_regenerations_ = registry_.GetCounter("dcws_regenerations_total");
   ctr_coop_fetches_ = registry_.GetCounter("dcws_coop_fetches_total");
   ctr_migrations_out_ = registry_.GetCounter("dcws_migrations_total",
@@ -313,8 +296,7 @@ http::Response Server::HandleRequest(const http::Request& request,
   std::string target = http::NormalizePath(raw_target);
 
   bool is_head = request.method == "HEAD";
-  bool admin = target == kPingTarget || target == kStatusTarget ||
-               target == kDcwsStatusTarget ||
+  bool admin = target == kPingTarget || target == kDcwsStatusTarget ||
                target == kDcwsTracesTarget ||
                target == kDcwsEventsTarget ||
                target == kDcwsHistoryTarget ||
@@ -323,8 +305,6 @@ http::Response Server::HandleRequest(const http::Request& request,
   http::Response response;
   if (target == kPingTarget) {
     response = HandlePing();
-  } else if (target == kStatusTarget) {
-    response = HandleStatus();
   } else if (target == kDcwsStatusTarget) {
     response = HandleDcwsStatus(query);
   } else if (target == kDcwsTracesTarget) {
@@ -340,10 +320,10 @@ http::Response Server::HandleRequest(const http::Request& request,
     response = HandleRevoke(target);
   } else if (migrate::IsMigratedTarget(target)) {
     obs::ScopedSpan span(&builder, clock_, "migrated");
-    response = HandleMigratedRequest(request, target, peers, trace);
+    response = HandleMigratedRequest(target, peers, trace);
   } else {
     obs::ScopedSpan span(&builder, clock_, "local");
-    response = HandleLocalRequest(request, target, internal, trace);
+    response = HandleLocalRequest(target, internal, trace);
   }
 
   if (is_head && response.status_code == 200) {
@@ -394,7 +374,7 @@ http::Response Server::HandleRequest(const http::Request& request,
     // Per-phase attribution observes the same requests the end-to-end
     // histograms do, so the family's sums add up to theirs.
     ObservePhases(done);
-    if (end - root_start >= params_.slow_trace_threshold) {
+    if (end - root_start >= kSlowTraceThreshold) {
       slow_traces_.Add(done);
     }
     recent_traces_.Add(std::move(done));
@@ -429,42 +409,6 @@ http::Response Server::HandlePing() {
   return r;
 }
 
-http::Response Server::HandleStatus() {
-  std::ostringstream out;
-  out << "dcws server " << self_.ToString() << "\n";
-  graph::LocalDocumentGraph::Stats graph_stats = ldg_.GetStats();
-  out << "documents: " << graph_stats.documents << " ("
-      << graph_stats.html_documents << " html, "
-      << graph_stats.entry_points << " entry points)\n"
-      << "links: " << graph_stats.links << "\n"
-      << "migrated away: " << graph_stats.migrated
-      << ", dirty: " << graph_stats.dirty << "\n"
-      << "hosted as co-op: " << coop_table_.size() << "\n"
-      << "load: " << LoadMetric() << " cps, " << BytesMetric()
-      << " bps\n";
-  Counters c = counters();
-  out << "requests: " << c.requests << " (local " << c.served_local
-      << ", coop " << c.served_coop << ", redirects " << c.redirects
-      << ", 404 " << c.not_found << ")\n"
-      << "migrations: " << c.migrations << ", revocations: "
-      << c.revocations << "\n"
-      << "regenerations: " << c.regenerations << ", fetches: "
-      << c.coop_fetches << ", pings: " << c.pings_sent << "\n";
-  out << "global load table:\n";
-  for (const load::LoadEntry& entry : glt_.Snapshot()) {
-    out << "  " << entry.server.ToString() << " = "
-        << entry.load_metric;
-    if (entry.updated_at < 0) {
-      out << " (never heard)";
-    } else {
-      out << " (age "
-          << ToSeconds(clock_->Now() - entry.updated_at) << "s)";
-    }
-    out << "\n";
-  }
-  return http::MakeOkResponse(std::move(out).str(), "text/plain");
-}
-
 http::Response Server::HandleDcwsStatus(const std::string& query) {
   std::string format = QueryParam(query, "format");
   std::vector<obs::MetricSnapshot> snapshot = registry_.Snapshot();
@@ -479,7 +423,20 @@ http::Response Server::HandleDcwsStatus(const std::string& query) {
         obs::ExportPrometheus(snapshot, {{"server", self_.ToString()}}),
         "text/plain");
   }
-  return http::MakeOkResponse(obs::ExportText(snapshot), "text/plain");
+  // The text format ends with the GLT rows and their ages, a view no
+  // registry series carries.
+  std::ostringstream out;
+  out << obs::ExportText(snapshot) << "global load table:\n";
+  MicroTime now = clock_->Now();
+  for (const load::LoadEntry& entry : glt_.Snapshot()) {
+    out << "  " << entry.server.ToString() << " = " << entry.load_metric;
+    if (entry.updated_at < 0) {
+      out << " (never heard)\n";
+    } else {
+      out << " (age " << ToSeconds(now - entry.updated_at) << "s)\n";
+    }
+  }
+  return http::MakeOkResponse(std::move(out).str(), "text/plain");
 }
 
 http::Response Server::HandleDcwsTraces(const std::string& query) {
@@ -497,7 +454,7 @@ http::Response Server::HandleDcwsTraces(const std::string& query) {
     out += obs::FormatTraceText(trace);
   }
   out += "slow traces (>= " +
-         std::to_string(params_.slow_trace_threshold) + "us):\n";
+         std::to_string(kSlowTraceThreshold) + "us):\n";
   for (const obs::Trace& trace : slow) {
     out += obs::FormatTraceText(trace);
   }
@@ -635,11 +592,9 @@ http::Response Server::HandleRevoke(const std::string& target) {
   return r;
 }
 
-http::Response Server::HandleMigratedRequest(const http::Request& request,
-                                             const std::string& target,
+http::Response Server::HandleMigratedRequest(const std::string& target,
                                              PeerClient* peers,
                                              RequestTrace* trace) {
-  (void)request;
   auto decoded = migrate::DecodeMigratedTarget(target);
   if (!decoded.ok()) {
     ctr_not_found_->Increment();
@@ -684,13 +639,12 @@ http::Response Server::HandleMigratedRequest(const http::Request& request,
   return ServeDocument(*doc);
 }
 
-http::Response Server::HandleLocalRequest(const http::Request& request,
-                                          const std::string& path,
+http::Response Server::HandleLocalRequest(const std::string& path,
                                           bool internal,
                                           RequestTrace* trace) {
   std::string name = path;
-  if (name == "/" && ldg_.Contains(params_.index_path)) {
-    name = params_.index_path;
+  if (name == "/" && ldg_.Contains(std::string(kIndexPath))) {
+    name = kIndexPath;
   }
 
   Result<graph::LocalDocumentGraph::RecordBrief> record = [&] {
@@ -714,22 +668,7 @@ http::Response Server::HandleLocalRequest(const http::Request& request,
       return http::MakeNotFoundResponse(name);
     }
     trace->regenerated = trace->regenerated || record->is_html;
-    std::string etag = ContentEtag((*rendered)->bytes());
-    if (auto if_none_match =
-            request.headers.Get(http::kHeaderIfNoneMatch);
-        if_none_match.has_value() && *if_none_match == etag) {
-      // The co-op already holds this exact rendering: 304 saves the
-      // retransmission (T_val trade-off, Table 2).
-      ctr_not_modified_->Increment();
-      http::Response not_modified;
-      not_modified.status_code = 304;
-      not_modified.headers.Set(std::string(http::kHeaderEtag),
-                               std::move(etag));
-      return not_modified;
-    }
-    http::Response ok = ServeDocument(*rendered);
-    ok.headers.Set(std::string(http::kHeaderEtag), std::move(etag));
-    return ok;
+    return ServeDocument(*rendered);
   }
 
   if (!(record->location == self_)) {
@@ -776,31 +715,16 @@ bool Server::FetchFromHome(PeerClient* peers, const std::string& target,
     fetch.headers.Set(std::string(http::kHeaderDcwsTrace),
                       obs::FormatTraceId(trace->trace_id));
   }
-  if (params_.conditional_validation) {
-    if (auto held = store_.Get(target); held.ok()) {
-      fetch.headers.Set(std::string(http::kHeaderIfNoneMatch),
-                        ContentEtag((*held)->bytes()));
-    }
-  }
 
   auto response = InternalCall(peers, name.home, std::move(fetch));
   pinger_.RecordProbeResult(name.home, response.ok());
-  // Every fetch outcome lands in the journal: 304 revalidations,
-  // refetches, the FIRST physical arrival (= the migration became
-  // effective here, kMigrationApplied) and failures.
+  // Every fetch outcome lands in the journal: refetches, the FIRST
+  // physical arrival (= the migration became effective here,
+  // kMigrationApplied) and failures.
   obs::Event event;
   event.doc = name.doc_path;
   event.peer = name.home.ToString();
   if (trace != nullptr) event.trace = trace->trace_id;
-  if (response.ok() && response->status_code == 304) {
-    // Our copy is current: revalidated without retransmission.
-    coop_table_.MarkFetched(target, clock_->Now());
-    ctr_not_modified_->Increment();
-    event.type = obs::EventType::kRevalidation;
-    event.detail = "revalidated against home via ETag (304)";
-    journal_.Emit(std::move(event));
-    return true;
-  }
   bool ok = response.ok() && response->status_code == 200;
   if (!ok) {
     coop_table_.MarkFetchFailed(target);
@@ -1175,7 +1099,6 @@ Server::Counters Server::counters() const {
   c.pings_sent = ctr_pings_sent_->Value();
   c.internal_requests = ctr_internal_requests_->Value();
   c.stale_serves = ctr_stale_serves_->Value();
-  c.not_modified = ctr_not_modified_->Value();
   return c;
 }
 

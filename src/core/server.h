@@ -78,6 +78,18 @@ struct RequestTrace {
 // one statistics/pinger thread calls Tick.
 class Server {
  public:
+  // Completed requests at least this slow are also captured in the
+  // slow-trace ring (GET /.dcws/traces serves it next to the recent one).
+  static constexpr MicroTime kSlowTraceThreshold = 50 * kMicrosPerMilli;
+  // Capacity of each trace ring (recent and slow).
+  static constexpr size_t kTraceRingCapacity = 64;
+  // Capacity of the structured event journal (GET /.dcws/events);
+  // overflow evicts the oldest and is reported as
+  // dcws_event_journal_dropped, never silent.
+  static constexpr size_t kEventJournalCapacity = 256;
+  // Samples kept per history series; older samples fall off the ring.
+  static constexpr size_t kHistoryRingCapacity = 128;
+
   Server(http::ServerAddress self, ServerParams params,
          const Clock* clock);
   Server(const Server&) = delete;
@@ -195,27 +207,22 @@ class Server {
     uint64_t pings_sent = 0;
     uint64_t internal_requests = 0;  // server-to-server requests served
     uint64_t stale_serves = 0;       // best-effort serves of cached bytes
-    uint64_t not_modified = 0;       // validations answered/received 304
   };
   Counters counters() const;
 
  private:
   // -- request-path helpers --
-  http::Response HandleMigratedRequest(const http::Request& request,
-                                       const std::string& target,
+  http::Response HandleMigratedRequest(const std::string& target,
                                        PeerClient* peers,
                                        RequestTrace* trace);
-  http::Response HandleLocalRequest(const http::Request& request,
-                                    const std::string& path,
-                                    bool internal, RequestTrace* trace);
+  http::Response HandleLocalRequest(const std::string& path, bool internal,
+                                    RequestTrace* trace);
   http::Response HandlePing();
   http::Response HandleRevoke(const std::string& target);
-  // Plain-text operational snapshot served at /~status (admin surface:
-  // counters, graph statistics, the GLT view).
-  http::Response HandleStatus();
   // Live introspection endpoints.  `query` is the raw query string
   // (?format=text|json|prometheus); they work over every transport
-  // because routing happens here, above the transport layer.
+  // because routing happens here, above the transport layer.  The
+  // status text format ends with the GLT rows and their ages.
   http::Response HandleDcwsStatus(const std::string& query);
   http::Response HandleDcwsTraces(const std::string& query);
   http::Response HandleDcwsEvents(const std::string& query);
@@ -355,7 +362,6 @@ class Server {
   obs::Counter* ctr_queue_drops_ = nullptr;
   obs::Counter* ctr_internal_requests_ = nullptr;
   obs::Counter* ctr_stale_serves_ = nullptr;
-  obs::Counter* ctr_not_modified_ = nullptr;
   obs::Counter* ctr_regenerations_ = nullptr;
   obs::Counter* ctr_coop_fetches_ = nullptr;
   obs::Counter* ctr_migrations_out_ = nullptr;

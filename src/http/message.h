@@ -42,8 +42,6 @@ inline constexpr std::string_view kHeaderHost = "Host";
 inline constexpr std::string_view kHeaderContentLength = "Content-Length";
 inline constexpr std::string_view kHeaderContentType = "Content-Type";
 inline constexpr std::string_view kHeaderLocation = "Location";
-inline constexpr std::string_view kHeaderEtag = "ETag";
-inline constexpr std::string_view kHeaderIfNoneMatch = "If-None-Match";
 inline constexpr std::string_view kHeaderRetryAfter = "Retry-After";
 // DCWS extension headers (piggybacked global load information).
 inline constexpr std::string_view kHeaderDcwsLoad = "X-DCWS-Load";

@@ -1,5 +1,7 @@
 #include "src/http/wire.h"
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "src/util/string_util.h"
@@ -139,36 +141,56 @@ Result<Response> ParseResponse(std::string_view wire) {
 
 void MessageFramer::Feed(std::string_view bytes) {
   buffer_.append(bytes);
+  if (message_size_ == 0) ParseHead();
 }
 
 std::optional<std::string> MessageFramer::NextMessage() {
-  if (!error_.ok()) return std::nullopt;
-  size_t header_end = FindHeaderEnd(buffer_);
-  if (header_end == std::string_view::npos) return std::nullopt;
+  if (message_size_ == 0 || buffer_.size() < message_size_) {
+    return std::nullopt;
+  }
+  std::string message;
+  if (buffer_.size() == message_size_) {
+    message = std::move(buffer_);
+    buffer_.clear();
+  } else {
+    message = buffer_.substr(0, message_size_);
+    buffer_.erase(0, message_size_);
+  }
+  message_size_ = 0;
+  ParseHead();  // a pipelined successor may already be buffered
+  return message;
+}
 
-  // Peek at Content-Length inside the header block.
+void MessageFramer::ParseHead() {
+  if (!error_.ok()) return;
+  size_t header_end = FindHeaderEnd(buffer_);
+  if (header_end == std::string_view::npos) return;
+
   HeaderMap headers;
   auto lines = HeaderLines(std::string_view(buffer_).substr(0, header_end));
   if (lines.empty()) {
     error_ = Status::Corruption("empty message");
-    return std::nullopt;
+    return;
   }
   Status s = ParseHeaderFields(lines, headers);
   if (!s.ok()) {
     error_ = s;
-    return std::nullopt;
+    return;
   }
   auto body_len = DeclaredBodyLength(headers);
   if (!body_len.ok()) {
     error_ = body_len.status();
-    return std::nullopt;
+    return;
   }
-  size_t total = header_end + *body_len;
-  if (buffer_.size() < total) return std::nullopt;
-
-  std::string message = buffer_.substr(0, total);
-  buffer_.erase(0, total);
-  return message;
+  if (*body_len > std::numeric_limits<size_t>::max() - header_end) {
+    error_ = Status::Corruption("Content-Length too large");
+    return;
+  }
+  message_size_ = header_end + *body_len;
+  // Reserve up to a bound: past it the buffer grows as bytes arrive, so
+  // a bogus Content-Length from a peer cannot make it allocate more.
+  constexpr size_t kMaxReserve = 64 << 20;
+  buffer_.reserve(std::min(message_size_, kMaxReserve));
 }
 
 }  // namespace dcws::http

@@ -21,7 +21,12 @@ Result<Response> ParseResponse(std::string_view wire);
 // Incremental framing for stream transports.  Feed() appends raw bytes;
 // NextMessage() extracts the earliest complete message (header block plus
 // Content-Length body) and returns its wire bytes, or nullopt if more
-// input is needed.  Framing errors surface via the error() accessor.
+// input is needed.  Framing errors surface via the error() accessor as
+// soon as the bytes that cause them are fed.
+//
+// Each message's head is parsed once, when it is complete; the buffer is
+// then reserved to the whole message, and a buffer holding exactly one
+// message is moved out, so a large body is copied once, on Feed.
 class MessageFramer {
  public:
   void Feed(std::string_view bytes);
@@ -34,7 +39,14 @@ class MessageFramer {
   size_t buffered_bytes() const { return buffer_.size(); }
 
  private:
+  // Parses the head at the front of buffer_ once it is complete and
+  // sets message_size_; a framing error sets error_ instead.
+  void ParseHead();
+
   std::string buffer_;
+  // Head plus Content-Length body of the message at the front of
+  // buffer_; 0 until its head is complete.
+  size_t message_size_ = 0;
   Status error_;
 };
 

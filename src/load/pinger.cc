@@ -7,7 +7,7 @@ namespace dcws::load {
 std::vector<http::ServerAddress> PingerPolicy::PeersToProbe(
     const GlobalLoadTable& table, MicroTime now) const {
   std::vector<http::ServerAddress> stale =
-      table.StalePeers(now, config_.staleness_limit);
+      table.StalePeers(now, staleness_limit_);
   // Snapshot the down set (sorted) in one lock acquisition, then filter
   // outside the lock — keeps the capability out of the erase_if lambda,
   // which the thread-safety analysis cannot see into.
@@ -45,7 +45,7 @@ void PingerPolicy::RecordProbeResult(const http::ServerAddress& peer,
   event.detail =
       is_down ? std::to_string(failures) +
                     " consecutive probe failures (threshold " +
-                    std::to_string(config_.max_consecutive_failures) + ")"
+                    std::to_string(kMaxConsecutiveFailures) + ")"
               : "probe succeeded; peer back up";
   journal_->Emit(std::move(event));
 }
@@ -58,7 +58,7 @@ bool PingerPolicy::IsDown(const http::ServerAddress& peer) const {
 bool PingerPolicy::IsDownLocked(const http::ServerAddress& peer) const {
   auto it = consecutive_failures_.find(peer);
   return it != consecutive_failures_.end() &&
-         it->second >= config_.max_consecutive_failures;
+         it->second >= kMaxConsecutiveFailures;
 }
 
 std::vector<http::ServerAddress> PingerPolicy::DownPeers() const {
@@ -66,7 +66,7 @@ std::vector<http::ServerAddress> PingerPolicy::DownPeers() const {
   {
     MutexLock lock(mutex_);
     for (const auto& [peer, failures] : consecutive_failures_) {
-      if (failures >= config_.max_consecutive_failures) {
+      if (failures >= kMaxConsecutiveFailures) {
         down.push_back(peer);
       }
     }

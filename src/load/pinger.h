@@ -30,12 +30,12 @@ namespace dcws::load {
 // so the failure table sees genuinely concurrent updates.
 class PingerPolicy {
  public:
-  struct Config {
-    MicroTime staleness_limit = 20 * kMicrosPerSecond;  // T_pi
-    int max_consecutive_failures = 3;
-  };
+  // Consecutive failed probes after which a peer is declared down.
+  static constexpr int kMaxConsecutiveFailures = 3;
 
-  explicit PingerPolicy(Config config) : config_(config) {}
+  // `staleness_limit` is T_pi: a peer unheard of for that long is probed.
+  explicit PingerPolicy(MicroTime staleness_limit)
+      : staleness_limit_(staleness_limit) {}
 
   // Peers whose GLT entry is older than the staleness limit and that are
   // not already declared down.  Called once per pinger wake-up.
@@ -48,7 +48,7 @@ class PingerPolicy {
   void RecordProbeResult(const http::ServerAddress& peer, bool success)
       DCWS_EXCLUDES(mutex_);
 
-  // True once max_consecutive_failures probes in a row have failed.
+  // True once kMaxConsecutiveFailures probes in a row have failed.
   bool IsDown(const http::ServerAddress& peer) const
       DCWS_EXCLUDES(mutex_);
   std::vector<http::ServerAddress> DownPeers() const
@@ -73,8 +73,6 @@ class PingerPolicy {
   // Drops all state for `peer` (cluster membership removal).
   void Forget(const http::ServerAddress& peer) DCWS_EXCLUDES(mutex_);
 
-  const Config& config() const { return config_; }
-
   // Liveness audit: when set, every down/up TRANSITION (not every
   // probe) emits a kPeerDown/kPeerUp event with the failure streak that
   // caused it.  Set once before concurrent use (the owning server wires
@@ -85,7 +83,7 @@ class PingerPolicy {
   bool IsDownLocked(const http::ServerAddress& peer) const
       DCWS_REQUIRES(mutex_);
 
-  const Config config_;  // immutable after construction; lock-free reads
+  const MicroTime staleness_limit_;
   obs::EventJournal* journal_ DCWS_CONST_AFTER_INIT = nullptr;
   mutable Mutex mutex_;
   std::unordered_map<http::ServerAddress, int, http::ServerAddressHash>

@@ -43,7 +43,7 @@ std::optional<HomeMigrationPolicy::Decision> HomeMigrationPolicy::Decide(
         down_peers.end()) {
       continue;
     }
-    if (own_load <= config_.imbalance_factor * peer.load_metric) {
+    if (own_load <= kImbalanceFactor * peer.load_metric) {
       // Peers are sorted by load: if the least-loaded does not justify a
       // migration, none will.
       return std::nullopt;
@@ -53,7 +53,7 @@ std::optional<HomeMigrationPolicy::Decision> HomeMigrationPolicy::Decide(
         now - it->second < config_.coop_accept_interval) {
       continue;
     }
-    auto doc = SelectDocumentForMigration(views, config_.selection);
+    auto doc = SelectDocumentForMigration(views, config_.hit_threshold);
     if (!doc.has_value()) return std::nullopt;
     Decision decision{std::move(*doc), peer.server};
     RecordDecision(decision, peers, own_load, peer.load_metric, now);
@@ -75,7 +75,7 @@ void HomeMigrationPolicy::RecordDecision(
   // The threshold comparison that made this a migration: the paper's
   // "determination that a migration should occur".
   event.detail = "own " + LoadToString(own_load) + " cps > " +
-                 LoadToString(config_.imbalance_factor) + " x " +
+                 LoadToString(kImbalanceFactor) + " x " +
                  LoadToString(peer_load) + " cps at " +
                  decision.target.ToString();
   event.glt.reserve(peers.size());
@@ -153,7 +153,7 @@ std::vector<std::string> HomeMigrationPolicy::DocsToRevoke(
     auto coop_load = glt.Get(record.location);
     if (coop_load.ok() &&
         coop_load->load_metric >
-            config_.revoke_imbalance_factor * std::max(own_load, 1.0)) {
+            kRevokeImbalanceFactor * std::max(own_load, 1.0)) {
       revoke.push_back(record.name);
       load_revoke_budget = false;
     }

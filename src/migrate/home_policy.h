@@ -30,17 +30,19 @@ class HomeMigrationPolicy {
     MicroTime migration_interval = 10 * kMicrosPerSecond;    // T_st pace
     MicroTime coop_accept_interval = 60 * kMicrosPerSecond;  // T_coop
     MicroTime remigrate_interval = 300 * kMicrosPerSecond;   // T_home
-    SelectionConfig selection;
-    // Migrate only when our load exceeds the candidate co-op's by this
-    // factor — the "determination that a migration should occur".
-    double imbalance_factor = 1.25;
-    // And only when we see real demand at all; an idle server migrating
-    // documents would just churn.
+    // Algorithm 1's initial hit threshold T.
+    uint64_t hit_threshold = 4;
+    // Migrate only when we see real demand at all; an idle server
+    // migrating documents would just churn.
     double min_load_cps = 1.0;
-    // Re-migration trigger: after T_home, revoke when the co-op hosting
-    // a document is loaded this much more than we are.
-    double revoke_imbalance_factor = 2.0;
   };
+
+  // Migrate only when our load exceeds the candidate co-op's by this
+  // factor — the "determination that a migration should occur".
+  static constexpr double kImbalanceFactor = 1.25;
+  // Re-migration trigger: after T_home, revoke when the co-op hosting a
+  // document is loaded this much more than we are.
+  static constexpr double kRevokeImbalanceFactor = 2.0;
 
   struct Decision {
     std::string doc;

@@ -1,6 +1,5 @@
 #include "src/migrate/selection.h"
 
-#include <algorithm>
 #include <limits>
 #include <unordered_map>
 
@@ -8,9 +7,11 @@ namespace dcws::migrate {
 
 using SelectionView = graph::LocalDocumentGraph::SelectionView;
 
+// Step 3 repeats "with reduced value of T": we halve it.
+constexpr uint64_t kThresholdDivisor = 2;
+
 std::optional<std::string> SelectDocumentForMigration(
-    const std::vector<SelectionView>& views,
-    const SelectionConfig& config) {
+    const std::vector<SelectionView>& views, uint64_t hit_threshold) {
   // Steps 1 + 2: candidates are local, non-entry-point documents.
   std::vector<const SelectionView*> candidates;
   candidates.reserve(views.size());
@@ -22,7 +23,7 @@ std::optional<std::string> SelectDocumentForMigration(
   if (candidates.empty()) return std::nullopt;
 
   // Step 3: threshold filter with geometric back-off.
-  uint64_t threshold = config.hit_threshold;
+  uint64_t threshold = hit_threshold;
   std::vector<const SelectionView*> hot;
   while (true) {
     hot.clear();
@@ -35,7 +36,7 @@ std::optional<std::string> SelectDocumentForMigration(
       // above — so this cannot happen; keep the guard for safety.
       return std::nullopt;
     }
-    threshold /= std::max<uint64_t>(config.threshold_divisor, 2);
+    threshold /= kThresholdDivisor;
   }
 
   // Step 4: fewest remote LinkFrom documents.
@@ -64,7 +65,7 @@ std::optional<std::string> SelectDocumentForMigration(
 
 std::optional<std::string> SelectDocumentForMigration(
     const std::vector<graph::DocumentRecord>& records,
-    const http::ServerAddress& home, const SelectionConfig& config) {
+    const http::ServerAddress& home, uint64_t hit_threshold) {
   std::unordered_map<std::string_view, const graph::DocumentRecord*>
       index;
   index.reserve(records.size());
@@ -87,7 +88,7 @@ std::optional<std::string> SelectDocumentForMigration(
     }
     views.push_back(std::move(view));
   }
-  return SelectDocumentForMigration(views, config);
+  return SelectDocumentForMigration(views, hit_threshold);
 }
 
 }  // namespace dcws::migrate

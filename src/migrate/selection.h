@@ -9,22 +9,14 @@
 
 namespace dcws::migrate {
 
-struct SelectionConfig {
-  // Initial hit threshold T for Algorithm 1 step 3 (hits within the
-  // current statistics window).
-  uint64_t hit_threshold = 16;
-  // Step 3 repeats "with reduced value of T" — we halve.  Once T reaches
-  // zero every candidate qualifies.
-  // (Divisor fixed at 2; exposed here if tuning experiments want it.)
-  uint64_t threshold_divisor = 2;
-};
-
 // Algorithm 1 (paper Figure 4): selects the document a home server should
 // migrate next, or nullopt when nothing is eligible.
 //
 //  1. C := all documents in the graph still hosted at the home server.
 //  2. Remove well-known entry points.
-//  3. Remove documents with hits below T; halve T until C is non-empty.
+//  3. Remove documents with hits below T (initially `hit_threshold`,
+//     hits within the current statistics window); halve T until C is
+//     non-empty.  Once T reaches zero every candidate qualifies.
 //  4. Keep documents pointed to by the fewest LinkFrom documents that do
 //     NOT reside on the home server (minimizes remote hyperlink updates).
 //  5. Among those, pick the one pointing at the fewest LinkTo documents.
@@ -33,12 +25,12 @@ struct SelectionConfig {
 // `views` come from graph::LocalDocumentGraph::SelectionSnapshot().
 std::optional<std::string> SelectDocumentForMigration(
     const std::vector<graph::LocalDocumentGraph::SelectionView>& views,
-    const SelectionConfig& config);
+    uint64_t hit_threshold);
 
 // Adapter from full DocumentRecord snapshots (tests and tools).
 std::optional<std::string> SelectDocumentForMigration(
     const std::vector<graph::DocumentRecord>& records,
-    const http::ServerAddress& home, const SelectionConfig& config);
+    const http::ServerAddress& home, uint64_t hit_threshold);
 
 }  // namespace dcws::migrate
 

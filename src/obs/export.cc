@@ -93,8 +93,6 @@ std::string_view MetricHelp(std::string_view name) {
        "Server-to-server requests served (pings, fetches, revokes)."},
       {"dcws_stale_serves_total",
        "Best-effort serves of cached bytes while home was unreachable."},
-      {"dcws_not_modified_total",
-       "Conditional revalidations answered or received as 304."},
       {"dcws_regenerations_total",
        "Dirty-document reconstructions (link rewrites)."},
       {"dcws_coop_fetches_total",

@@ -62,7 +62,7 @@ SiteSpec BuildMapug(Rng& rng) {
   auto msg_path = [](int i) {
     return "/archive/msg" + std::to_string(i) + ".html";
   };
-  auto index_path = [](int k) {
+  auto index_page = [](int k) {
     return "/archive/index" + std::to_string(k) + ".html";
   };
   const int per_index = kMessages / kIndexes;  // messages per month
@@ -119,11 +119,11 @@ SiteSpec BuildMapug(Rng& rng) {
     }
     PadTo(body, rng, kIndexBytes);
     body += "</body></html>\n";
-    site.documents.push_back(HtmlDoc(index_path(k), std::move(body)));
+    site.documents.push_back(HtmlDoc(index_page(k), std::move(body)));
   }
 
   // The archive is entered through its index pages.
-  site.entry_points = {index_path(0)};
+  site.entry_points = {index_page(0)};
   return site;
 }
 
@@ -149,7 +149,7 @@ SiteSpec BuildSblog(Rng& rng) {
   auto detail_path = [](int i) {
     return "/stats/file" + std::to_string(i) + ".html";
   };
-  auto index_path = [](int k) {
+  auto index_page = [](int k) {
     return "/stats/index" + std::to_string(k) + ".html";
   };
 
@@ -187,7 +187,7 @@ SiteSpec BuildSblog(Rng& rng) {
     }
     PadTo(body, rng, kIndexBytes);
     body += "</body></html>\n";
-    site.documents.push_back(HtmlDoc(index_path(k), std::move(body)));
+    site.documents.push_back(HtmlDoc(index_page(k), std::move(body)));
   }
 
   // The published entry point: a small summary front page.

@@ -47,9 +47,8 @@ core::ServerParams ClusterHarness::ChaosParams() {
   params.validation_interval = Millis(200);
   params.remigrate_interval = Seconds(30);  // keep T_home out of the way
   params.coop_accept_interval = Millis(250);
-  params.selection.hit_threshold = 1;
+  params.hit_threshold = 1;
   params.min_load_cps = 2;
-  params.conditional_validation = true;
   // History samples land on the accelerated duty cadence, so even a
   // short chaos scenario dumps a multi-sample trend per instrument.
   params.history_interval = Millis(100);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "src/html/dom.h"
 #include "src/html/links.h"
 #include "src/html/rewriter.h"
 #include "src/html/token.h"
@@ -217,48 +216,6 @@ TEST(RewriterTest, MultipleLinksInOneTag) {
             std::string::npos);
   EXPECT_NE(result.html.find("http://c:81/~migrate/h/80/a.html"),
             std::string::npos);
-}
-
-// ------------------------------------------------------------------- dom
-
-TEST(DomTest, BuildsTree) {
-  auto doc = ParseDocument(
-      "<html><body><p>one</p><p>two <b>bold</b></p></body></html>");
-  Node* body = doc->FindFirst("body");
-  ASSERT_NE(body, nullptr);
-  auto paragraphs = doc->FindAll("p");
-  ASSERT_EQ(paragraphs.size(), 2u);
-  EXPECT_EQ(paragraphs[0]->TextContent(), "one");
-  EXPECT_EQ(paragraphs[1]->TextContent(), "two bold");
-}
-
-TEST(DomTest, VoidElementsDontNest) {
-  auto doc = ParseDocument("<p><img src=\"a.gif\"><img src=\"b.gif\"></p>");
-  auto images = doc->FindAll("img");
-  ASSERT_EQ(images.size(), 2u);
-  EXPECT_TRUE(images[0]->children().empty());
-  EXPECT_EQ(images[1]->parent()->name(), "p");
-}
-
-TEST(DomTest, RecoversFromMisnestedTags) {
-  auto doc = ParseDocument("<div><b>x</div></b><p>y</p>");
-  EXPECT_NE(doc->FindFirst("p"), nullptr);
-  // The stray </b> after </div> must not crash or eat the <p>.
-  EXPECT_EQ(doc->FindAll("p")[0]->TextContent(), "y");
-}
-
-TEST(DomTest, AttributesAccessible) {
-  auto doc = ParseDocument("<a href=\"x.html\" rel=next>go</a>");
-  Node* a = doc->FindFirst("a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->Attr("href").value(), "x.html");
-  EXPECT_EQ(a->Attr("rel").value(), "next");
-  EXPECT_FALSE(a->Attr("id").has_value());
-}
-
-TEST(DomTest, SerializeReproducesStructure) {
-  auto doc = ParseDocument("<p><a href=\"x\">t</a><br></p>");
-  EXPECT_EQ(doc->Serialize(), "<p><a href=\"x\">t</a><br></p>");
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ http::Request Get(const std::string& target) {
 
 ServerParams Params() {
   ServerParams params;
-  params.selection.hit_threshold = 1;
+  params.hit_threshold = 1;
   params.min_load_cps = 1.0;
   return params;
 }

@@ -260,19 +260,26 @@ TEST(PiggybackTest, AbsorbWithoutHeadersIsNoop) {
 
 // ---------------------------------------------------------------- pinger
 
+// Records one failed probe per allowed failure: the streak that declares
+// `peer` down.
+void FailUntilDown(PingerPolicy& pinger, const ServerAddress& peer) {
+  for (int i = 0; i < PingerPolicy::kMaxConsecutiveFailures; ++i) {
+    pinger.RecordProbeResult(peer, false);
+  }
+}
+
 TEST(PingerTest, ProbesStalePeersOnly) {
   GlobalLoadTable glt;
   glt.Update(kS1, 1, Seconds(100));
   glt.Update(kS2, 1, Seconds(50));
-  PingerPolicy pinger({/*staleness_limit=*/Seconds(20),
-                       /*max_consecutive_failures=*/3});
+  PingerPolicy pinger(/*staleness_limit=*/Seconds(20));
   auto probes = pinger.PeersToProbe(glt, Seconds(105));
   ASSERT_EQ(probes.size(), 1u);
   EXPECT_EQ(probes[0], kS2);
 }
 
 TEST(PingerTest, DeclaresDownAfterConsecutiveFailures) {
-  PingerPolicy pinger({Seconds(20), 3});
+  PingerPolicy pinger(Seconds(20));
   pinger.RecordProbeResult(kS2, false);
   pinger.RecordProbeResult(kS2, false);
   EXPECT_FALSE(pinger.IsDown(kS2));
@@ -286,18 +293,19 @@ TEST(PingerTest, DeclaresDownAfterConsecutiveFailures) {
 }
 
 TEST(PingerTest, SuccessResetsFailureStreak) {
-  PingerPolicy pinger({Seconds(20), 2});
+  PingerPolicy pinger(Seconds(20));
   pinger.RecordProbeResult(kS2, false);
   pinger.RecordProbeResult(kS2, true);
   pinger.RecordProbeResult(kS2, false);
+  EXPECT_EQ(pinger.ConsecutiveFailures(kS2), 1);
   EXPECT_FALSE(pinger.IsDown(kS2));
 }
 
 TEST(PingerTest, DownPeersNotReprobed) {
   GlobalLoadTable glt;
   glt.RegisterPeer(kS2);
-  PingerPolicy pinger({Seconds(20), 1});
-  pinger.RecordProbeResult(kS2, false);
+  PingerPolicy pinger(Seconds(20));
+  FailUntilDown(pinger, kS2);
   EXPECT_TRUE(pinger.IsDown(kS2));
   EXPECT_TRUE(pinger.PeersToProbe(glt, Seconds(100)).empty());
 }
@@ -305,7 +313,7 @@ TEST(PingerTest, DownPeersNotReprobed) {
 TEST(PingerTest, RecoveryOneShortOfLimitNeverDeclaresDown) {
   // max-1 consecutive failures, then a success: the streak must reset to
   // zero, so a further max-1 failures still leave the peer up.
-  PingerPolicy pinger({Seconds(20), 3});
+  PingerPolicy pinger(Seconds(20));
   pinger.RecordProbeResult(kS2, false);
   pinger.RecordProbeResult(kS2, false);
   pinger.RecordProbeResult(kS2, true);
@@ -322,8 +330,8 @@ TEST(PingerTest, RecoveryOneShortOfLimitNeverDeclaresDown) {
 TEST(PingerTest, RecoveredPeerBecomesProbeCandidateAgain) {
   GlobalLoadTable glt;
   glt.RegisterPeer(kS2);
-  PingerPolicy pinger({Seconds(20), 1});
-  pinger.RecordProbeResult(kS2, false);
+  PingerPolicy pinger(Seconds(20));
+  FailUntilDown(pinger, kS2);
   ASSERT_TRUE(pinger.IsDown(kS2));
   EXPECT_TRUE(pinger.PeersToProbe(glt, Seconds(100)).empty());
 
@@ -338,7 +346,7 @@ TEST(PingerTest, RecoveredPeerBecomesProbeCandidateAgain) {
 
 TEST(PingerTest, EmptyGltYieldsNoProbes) {
   GlobalLoadTable glt;
-  PingerPolicy pinger({Seconds(20), 3});
+  PingerPolicy pinger(Seconds(20));
   EXPECT_TRUE(pinger.PeersToProbe(glt, Seconds(100)).empty());
   EXPECT_TRUE(pinger.DownPeers().empty());
   EXPECT_FALSE(pinger.IsDown(kS1));  // never-seen peer is not down
@@ -347,7 +355,7 @@ TEST(PingerTest, EmptyGltYieldsNoProbes) {
 TEST(PingerTest, FailureStreakExactlyAtThresholdBoundary) {
   // The declared-down transition happens exactly AT max failures, never
   // one short of it, and the streak counter is observable at each step.
-  PingerPolicy pinger({Seconds(20), 3});
+  PingerPolicy pinger(Seconds(20));
   EXPECT_EQ(pinger.ConsecutiveFailures(kS2), 0);
   pinger.RecordProbeResult(kS2, false);
   pinger.RecordProbeResult(kS2, false);
@@ -366,12 +374,13 @@ TEST(PingerTest, InjectedProbeFailureForcesEveryResultToFailure) {
   // The chaos harness's pinger partition: while injected, successes
   // recorded about the peer (probes, piggyback receipts, fetch
   // outcomes) count as failures — data flows, liveness evidence lost.
-  PingerPolicy pinger({Seconds(20), 2});
+  PingerPolicy pinger(Seconds(20));
   EXPECT_FALSE(pinger.IsProbeFailureInjected(kS2));
   pinger.InjectProbeFailure(kS2, true);
   EXPECT_TRUE(pinger.IsProbeFailureInjected(kS2));
-  pinger.RecordProbeResult(kS2, true);
-  pinger.RecordProbeResult(kS2, true);
+  for (int i = 0; i < PingerPolicy::kMaxConsecutiveFailures; ++i) {
+    pinger.RecordProbeResult(kS2, true);
+  }
   EXPECT_TRUE(pinger.IsDown(kS2));
 
   // Healing the partition does not by itself bring the peer back ...
@@ -387,9 +396,9 @@ TEST(PingerTest, InjectedProbeFailureForcesEveryResultToFailure) {
 TEST(PingerTest, ForgetDropsAllStateForPeer) {
   // Membership removal: a forgotten peer leaves no down marking, no
   // failure streak, and no injection flag behind.
-  PingerPolicy pinger({Seconds(20), 1});
+  PingerPolicy pinger(Seconds(20));
   pinger.InjectProbeFailure(kS2, true);
-  pinger.RecordProbeResult(kS2, true);
+  FailUntilDown(pinger, kS2);
   ASSERT_TRUE(pinger.IsDown(kS2));
   pinger.Forget(kS2);
   EXPECT_FALSE(pinger.IsDown(kS2));

@@ -88,7 +88,7 @@ TEST(SelectionTest, SkipsEntryPointsAndMigrated) {
       Rec("/gone.html", 500, {}, {}, false, kCoop1),
       Rec("/pick.html", 100),
   };
-  auto pick = SelectDocumentForMigration(records, kHome, {});
+  auto pick = SelectDocumentForMigration(records, kHome, 4);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, "/pick.html");
 }
@@ -99,8 +99,8 @@ TEST(SelectionTest, NothingEligibleReturnsNullopt) {
       Rec("/away.html", 10, {}, {}, false, kCoop1),
   };
   EXPECT_FALSE(
-      SelectDocumentForMigration(records, kHome, {}).has_value());
-  EXPECT_FALSE(SelectDocumentForMigration({}, kHome, {}).has_value());
+      SelectDocumentForMigration(records, kHome, 4).has_value());
+  EXPECT_FALSE(SelectDocumentForMigration({}, kHome, 4).has_value());
 }
 
 TEST(SelectionTest, ThresholdFiltersColdDocuments) {
@@ -108,9 +108,7 @@ TEST(SelectionTest, ThresholdFiltersColdDocuments) {
       Rec("/cold.html", 1),
       Rec("/hot.html", 100),
   };
-  SelectionConfig config;
-  config.hit_threshold = 50;
-  auto pick = SelectDocumentForMigration(records, kHome, config);
+  auto pick = SelectDocumentForMigration(records, kHome, 50);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, "/hot.html");
 }
@@ -121,9 +119,7 @@ TEST(SelectionTest, ThresholdRelaxesUntilNonEmpty) {
       Rec("/a.html", 3),
       Rec("/b.html", 1),
   };
-  SelectionConfig config;
-  config.hit_threshold = 1000;
-  auto pick = SelectDocumentForMigration(records, kHome, config);
+  auto pick = SelectDocumentForMigration(records, kHome, 1000);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, "/a.html");  // hits 3 passes once T drops to <= 3
 }
@@ -137,9 +133,7 @@ TEST(SelectionTest, PrefersFewestRemoteLinkFrom) {
       Rec("/x.html", 50, {}, {"/away.html"}),
       Rec("/y.html", 50, {}, {"/local.html"}),
   };
-  SelectionConfig config;
-  config.hit_threshold = 10;
-  auto pick = SelectDocumentForMigration(records, kHome, config);
+  auto pick = SelectDocumentForMigration(records, kHome, 10);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, "/y.html");
 }
@@ -151,9 +145,7 @@ TEST(SelectionTest, TiePrefersFewestLinkTo) {
       Rec("/a.html", 0),
       Rec("/b.html", 0),
   };
-  SelectionConfig config;
-  config.hit_threshold = 50;
-  auto pick = SelectDocumentForMigration(records, kHome, config);
+  auto pick = SelectDocumentForMigration(records, kHome, 50);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, "/few.html");
 }
@@ -163,9 +155,7 @@ TEST(SelectionTest, FinalTieBreaksOnName) {
       Rec("/b.html", 50),
       Rec("/a.html", 50),
   };
-  SelectionConfig config;
-  config.hit_threshold = 1;
-  EXPECT_EQ(SelectDocumentForMigration(records, kHome, config).value(),
+  EXPECT_EQ(SelectDocumentForMigration(records, kHome, 1).value(),
             "/a.html");
 }
 
@@ -178,8 +168,7 @@ class HomePolicyTest : public ::testing::Test {
     config.migration_interval = Seconds(10);
     config.coop_accept_interval = Seconds(60);
     config.remigrate_interval = Seconds(300);
-    config.selection.hit_threshold = 1;
-    config.imbalance_factor = 1.25;
+    config.hit_threshold = 1;
     config.min_load_cps = 1.0;
     return config;
   }

@@ -1,5 +1,5 @@
 // Odds-and-ends coverage: table printer, Table-1 formatting, the
-// /~status admin surface, request traces, and pacing updates.
+// /.dcws/status text summary, request traces, and pacing updates.
 
 #include <gtest/gtest.h>
 
@@ -62,7 +62,7 @@ class MiscServerTest : public ::testing::Test {
  protected:
   MiscServerTest() : clock_(Seconds(1)) {
     core::ServerParams params;
-    params.selection.hit_threshold = 1;
+    params.hit_threshold = 1;
     cluster_ = std::make_unique<core::Cluster>(2, params, &clock_);
     workload::SyntheticConfig config;
     config.pages = 10;
@@ -89,13 +89,17 @@ TEST_F(MiscServerTest, StatusEndpointSummarizesState) {
   core::Server& server = cluster_->server(0);
   server.HandleRequest(Get("/site/page0.html"), &cluster_->network());
   http::Response status =
-      server.HandleRequest(Get("/~status"), &cluster_->network());
+      server.HandleRequest(Get("/.dcws/status"), &cluster_->network());
   ASSERT_EQ(status.status_code, 200);
-  EXPECT_NE(status.body.find("dcws server server1:8001"),
-            std::string::npos);
-  EXPECT_NE(status.body.find("documents: 14"), std::string::npos);
-  EXPECT_NE(status.body.find("global load table:"), std::string::npos);
-  EXPECT_NE(status.body.find("server2:8002"), std::string::npos);
+  EXPECT_NE(status.body.find("\ndcws_documents 14\n"), std::string::npos)
+      << status.body;
+  // The text format ends with the GLT rows and their ages.
+  size_t glt = status.body.find("global load table:\n");
+  ASSERT_NE(glt, std::string::npos) << status.body;
+  EXPECT_NE(status.body.find("  server1:8001 = ", glt), std::string::npos);
+  EXPECT_NE(status.body.find("  server2:8002 = 0 (never heard)\n", glt),
+            std::string::npos)
+      << status.body;
 }
 
 TEST_F(MiscServerTest, RequestTargetsAreNormalized) {

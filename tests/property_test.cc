@@ -309,6 +309,64 @@ TEST_P(WireProperty, RandomMessagesRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, WireProperty,
                          ::testing::Values(51, 52, 53, 54));
 
+// What a framer yields for a byte stream: its messages, then its error.
+struct Framed {
+  std::vector<std::string> messages;
+  std::string error;  // empty when framing succeeded
+  bool operator==(const Framed&) const = default;
+};
+
+Framed FrameInFeeds(std::string_view wire, size_t split) {
+  http::MessageFramer framer;
+  Framed out;
+  for (std::string_view part : {wire.substr(0, split), wire.substr(split)}) {
+    framer.Feed(part);
+    while (auto message = framer.NextMessage()) {
+      out.messages.push_back(std::move(*message));
+    }
+  }
+  if (framer.has_error()) out.error = framer.error().ToString();
+  return out;
+}
+
+// A stream split into two reads at any byte frames exactly as it does
+// arriving in one.
+TEST(FramerSplitProperty, EverySplitFramesLikeOneFeed) {
+  http::Request request;
+  request.method = "GET";
+  request.target = "/a/b.html";
+  request.headers.Add("Host", "h:80");
+  request.body = "body-bytes";
+
+  http::Response large;
+  large.body = std::string(100 * 1024, 'x');
+  large.body.replace(50 * 1024, 4, "\r\n\r\n");  // frames nothing
+
+  http::Response first;
+  first.body = "<p>one</p>";
+  http::Response second;
+  second.status_code = 404;
+  second.body = "missing";
+
+  const std::vector<std::string> streams = {
+      request.Serialize(),
+      large.Serialize(),
+      first.Serialize() + second.Serialize(),
+      "HTTP/1.0 200 OK\r\nContent-Length: 12x\r\n\r\nbody",
+  };
+  const std::vector<size_t> expected_messages = {1, 1, 2, 0};
+  for (size_t i = 0; i < streams.size(); ++i) {
+    const std::string& wire = streams[i];
+    Framed whole = FrameInFeeds(wire, wire.size());
+    ASSERT_EQ(whole.messages.size(), expected_messages[i]) << i;
+    EXPECT_EQ(whole.error.empty(), expected_messages[i] > 0) << i;
+    for (size_t split = 0; split < wire.size(); ++split) {
+      ASSERT_TRUE(FrameInFeeds(wire, split) == whole)
+          << "stream " << i << " split at byte " << split;
+    }
+  }
+}
+
 // -------------------------------------------------- LDG graph invariants
 
 class LdgProperty : public SeededTest {};

@@ -48,9 +48,8 @@ core::ServerParams StressParams() {
   params.load_window = Millis(100);
   params.pinger_interval = Millis(100);
   params.validation_interval = Millis(200);
-  params.selection.hit_threshold = 1;
+  params.hit_threshold = 1;
   params.min_load_cps = 2;
-  params.conditional_validation = true;
   return params;
 }
 
@@ -77,7 +76,7 @@ TEST(RaceStressTest, PingerPolicySurvivesConcurrentProbeResults) {
     peers.push_back({"peer" + std::to_string(i), 9000});
     glt.RegisterPeer(peers.back());
   }
-  load::PingerPolicy pinger(load::PingerPolicy::Config{Seconds(1), 3});
+  load::PingerPolicy pinger(Seconds(1));
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
@@ -375,7 +374,8 @@ TEST_F(ClusterStressTest, FullClusterUnderConcurrentDuties) {
   });
 
   // Introspection thread: the read-side of every table, plus the
-  // /~status admin page, raced against the writers above.
+  // /.dcws/status text page (its GLT rows), raced against the writers
+  // above.
   threads.emplace_back([&]() {
     while (!stop.load()) {
       (void)home_.counters();
@@ -387,7 +387,7 @@ TEST_F(ClusterStressTest, FullClusterUnderConcurrentDuties) {
       (void)home_.metrics().Snapshot();  // callback gauges read tables
       (void)home_.recent_traces().Snapshot();
       http::Request status;
-      status.target = "/~status";
+      status.target = "/.dcws/status";
       (void)network().Execute(home_.address(), status);
       // The introspection endpoints exercise registry snapshotting and
       // both trace rings against the worker threads' hot-path updates.
@@ -415,7 +415,7 @@ TEST_F(ClusterStressTest, FullClusterUnderConcurrentDuties) {
   EXPECT_EQ(transport_errors.load(), 0);
 
   // Bookkeeping sanity: the home's request counter saw every client
-  // request that reached a worker (the introspection thread's /~status
+  // request that reached a worker (the introspection thread's status
   // calls add more), and no category counter overshot it.  A lost
   // counter update under the races above would break one of these.
   core::Server::Counters c = home_.counters();

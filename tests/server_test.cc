@@ -42,7 +42,7 @@ ServerParams TestParams() {
   params.validation_interval = Seconds(120);
   params.remigrate_interval = Seconds(300);
   params.coop_accept_interval = Seconds(60);
-  params.selection.hit_threshold = 1;
+  params.hit_threshold = 1;
   params.min_load_cps = 1.0;
   return params;
 }
@@ -394,39 +394,6 @@ TEST_F(ServerTest, HeadOnMigratedDocumentRedirects) {
   EXPECT_TRUE(resp.headers.Has("Location"));
 }
 
-TEST_F(ServerTest, ConditionalValidationAnswers304) {
-  std::string doc = ForceOneMigration();
-  auto record = home().ldg().Lookup(doc);
-  Server* coop = net().Find(record->location);
-  std::string target =
-      migrate::EncodeMigratedTarget(home().address(), doc);
-  Response first = coop->HandleRequest(Get(target), &net());
-  ASSERT_EQ(first.status_code, 200);
-
-  // Internal fetches carry an ETag.
-  Request fetch = Get(doc);
-  fetch.headers.Set(std::string(http::kHeaderDcwsInternal), "fetch");
-  Response full = home().HandleRequest(fetch, &net());
-  ASSERT_EQ(full.status_code, 200);
-  auto etag = full.headers.Get(http::kHeaderEtag);
-  ASSERT_TRUE(etag.has_value());
-
-  // Matching If-None-Match gets an empty 304...
-  fetch.headers.Set(std::string(http::kHeaderIfNoneMatch),
-                    std::string(*etag));
-  Response not_modified = home().HandleRequest(fetch, &net());
-  EXPECT_EQ(not_modified.status_code, 304);
-  EXPECT_TRUE(not_modified.body.empty());
-  EXPECT_GE(home().counters().not_modified, 1u);
-
-  // ...and a stale tag gets the full document again.
-  fetch.headers.Set(std::string(http::kHeaderIfNoneMatch),
-                    "\"0000000000000000\"");
-  Response refreshed = home().HandleRequest(fetch, &net());
-  EXPECT_EQ(refreshed.status_code, 200);
-  EXPECT_FALSE(refreshed.entity().empty());
-}
-
 // A page's link to itself must survive migration.  Regeneration at home
 // writes the self link site-absolute; the co-op's copy has to carry a
 // URL the cluster serves, not a path that resolves against the co-op.
@@ -471,47 +438,6 @@ TEST(CoopSelfLinkTest, MigratedPageSelfLinkResolves) {
   Response followed = host->HandleRequest(Get(path), &cluster.network());
   EXPECT_TRUE(followed.status_code == 200 || followed.status_code == 301)
       << links[0].resolved << " answered " << followed.status_code;
-}
-
-TEST(ConditionalValidationTest, SweepUses304WhenEnabled) {
-  ManualClock clock(Seconds(1));
-  ServerParams params = TestParams();
-  params.conditional_validation = true;
-  Cluster cluster(2, params, &clock);
-  Server& home = cluster.server(0);
-  ASSERT_TRUE(home.LoadSite({Doc("/index.html",
-                                 "<a href=\"hot.html\">go</a>"),
-                             Doc("/hot.html", "<p>payload</p>")},
-                            {"/index.html"})
-                  .ok());
-  cluster.TickAll();
-  for (int i = 0; i < 80; ++i) {
-    home.HandleRequest(Get("/hot.html"), &cluster.network());
-  }
-  clock.Advance(Seconds(10));
-  cluster.TickAll();
-  auto record = home.ldg().Lookup("/hot.html");
-  ASSERT_TRUE(record.ok());
-  ASSERT_FALSE(record->location == home.address());
-  Server* coop = cluster.network().Find(record->location);
-  std::string target =
-      migrate::EncodeMigratedTarget(home.address(), "/hot.html");
-  ASSERT_EQ(coop->HandleRequest(Get(target), &cluster.network())
-                .status_code,
-            200);
-  ASSERT_EQ(coop->counters().coop_fetches, 1u);
-
-  // Let several validation sweeps pass with unchanged content: every
-  // refetch should be answered 304.
-  for (int i = 0; i < 3; ++i) {
-    clock.Advance(params.validation_interval + Seconds(5));
-    cluster.TickAll();
-  }
-  EXPECT_GE(coop->counters().not_modified, 2u);
-  // Content unchanged and still served.
-  Response again = coop->HandleRequest(Get(target), &cluster.network());
-  EXPECT_EQ(again.status_code, 200);
-  EXPECT_NE(again.entity().find("payload"), std::string::npos);
 }
 
 // ------------------------------------------------------- introspection
@@ -671,7 +597,7 @@ TEST_F(ServerTest, AdminTargetsStayOutOfTrafficMetrics) {
   home().HandleRequest(Get("/.dcws/status"), &net());
   home().HandleRequest(Get("/.dcws/traces"), &net());
   home().HandleRequest(Get("/.dcws/events"), &net());
-  home().HandleRequest(Get("/~status"), &net());
+  home().HandleRequest(Get("/.dcws/status?format=prometheus"), &net());
 
   // Introspection polling must not pollute site-traffic series.
   EXPECT_EQ(home().recent_traces().Snapshot().size(), 0u);
@@ -828,16 +754,17 @@ TEST_F(ServerTest, DcwsProfileIs503WhenProfilerDisabled) {
 }
 
 TEST_F(ServerTest, SlowRequestsLandInSlowRing) {
-  // Zero threshold: every traced request counts as slow.
-  ServerParams params = TestParams();
-  params.slow_trace_threshold = 0;
-  ManualClock clock(Seconds(1));
-  Cluster cluster(2, params, &clock);
-  std::vector<Document> site = {Doc("/p.html", "<p>x</p>")};
-  ASSERT_TRUE(cluster.server(0).LoadSite(site, {}).ok());
-  cluster.server(0).HandleRequest(Get("/p.html"), &cluster.network());
-  EXPECT_EQ(cluster.server(0).slow_traces().Snapshot().size(), 1u);
-  EXPECT_EQ(cluster.server(0).recent_traces().Snapshot().size(), 1u);
+  // A request that waited 60 ms in the socket queue crosses the 50 ms
+  // slow threshold; one that did not wait stays in the recent ring only.
+  static_assert(Server::kSlowTraceThreshold == Millis(50));
+  RequestTrace queued;
+  queued.queue_wait = Millis(60);
+  home().HandleRequest(Get("/b.html"), &net(), &queued);
+  home().HandleRequest(Get("/b.html"), &net());
+  std::vector<obs::Trace> slow = home().slow_traces().Snapshot();
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow[0].id, queued.trace_id);
+  EXPECT_EQ(home().recent_traces().Snapshot().size(), 2u);
 }
 
 }  // namespace

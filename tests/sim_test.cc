@@ -384,7 +384,6 @@ TEST(ExperimentTest, MoreServersMoreThroughput) {
   auto run = [&](int servers) {
     ExperimentConfig config;
     config.sim.servers = servers;
-    config.sim.params.selection.hit_threshold = 4;
     config.clients = 120;
     config.warmup = Seconds(120);
     config.measure = Seconds(10);

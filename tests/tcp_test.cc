@@ -31,7 +31,7 @@ core::ServerParams FastParams() {
   params.stats_interval = Millis(100);
   params.load_window = Millis(100);
   params.pinger_interval = Millis(200);
-  params.selection.hit_threshold = 1;
+  params.hit_threshold = 1;
   params.min_load_cps = 5;
   params.worker_threads = 4;
   return params;
@@ -420,16 +420,34 @@ TEST_F(TcpTest, NotFoundAndBadRequests) {
   auto read = ReadInto(*conn, reply);
   ASSERT_TRUE(read.ok());
   EXPECT_NE(std::string_view(reply, *read).find("400"), std::string::npos);
+
+  // A head whose Content-Length does not parse gets its 400 while the
+  // client waits: the worker does not read on for a body it cannot frame.
+  auto bad_length = ConnectLoopback(home_port_);
+  ASSERT_TRUE(bad_length.ok());
+  timeval limit{/*tv_sec=*/5, /*tv_usec=*/0};
+  ASSERT_EQ(setsockopt(bad_length->fd(), SOL_SOCKET, SO_RCVTIMEO, &limit,
+                       sizeof(limit)),
+            0);
+  ASSERT_TRUE(
+      WriteAll(*bad_length, "GET / HTTP/1.0\r\nContent-Length: 12x\r\n\r\n")
+          .ok());
+  read = ReadInto(*bad_length, reply);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_NE(std::string_view(reply, *read).find("400"), std::string::npos);
 }
 
 TEST_F(TcpTest, StatusEndpointReports) {
   ASSERT_TRUE(TcpCall(home_port_, Get("/index.html")).ok());
-  auto response = TcpCall(home_port_, Get("/~status"));
+  auto response = TcpCall(home_port_, Get("/.dcws/status"));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status_code, 200);
-  EXPECT_NE(response->body.find("dcws server tcp-home:8001"),
+  EXPECT_NE(response->body.find("\ndcws_documents 3\n"), std::string::npos)
+      << response->body;
+  size_t glt = response->body.find("global load table:\n");
+  ASSERT_NE(glt, std::string::npos) << response->body;
+  EXPECT_NE(response->body.find("  tcp-home:8001 = ", glt),
             std::string::npos);
-  EXPECT_NE(response->body.find("documents: 3"), std::string::npos);
 }
 
 TEST_F(TcpTest, NetworkExecutesByServerName) {

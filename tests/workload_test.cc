@@ -289,7 +289,7 @@ class BrowseTest : public ::testing::Test {
  protected:
   BrowseTest() : clock_(Seconds(1)) {
     core::ServerParams params;
-    params.selection.hit_threshold = 1;
+    params.hit_threshold = 1;
     cluster_ = std::make_unique<core::Cluster>(2, params, &clock_);
     Rng rng(17);
     site_ = BuildLod(rng);

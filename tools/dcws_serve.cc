@@ -8,9 +8,9 @@
 // Binds every server to a 127.0.0.1 port (printed on startup) — with
 // --port BASE, server i listens on BASE+i, otherwise ports are
 // ephemeral.  Server 1 is the home seeded from DOCROOT, the rest start
-// as empty co-ops.  Point a browser or curl at the home port; /~status
-// shows operational state, /.dcws/status the metric registry
-// (?format=text|json|prometheus), /.dcws/traces recent request span
+// as empty co-ops.  Point a browser or curl at the home port;
+// /.dcws/status shows the metric registry (?format=text|json|prometheus;
+// the text format ends with the GLT rows), /.dcws/traces recent request span
 // trees (with per-phase attribution), /.dcws/history the sampled
 // metric rings and /.dcws/profile folded stacks (DCWS_PROFILE=1).
 // With --status-interval N, a one-line cluster summary (cps, p99
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   core::ServerParams params;
   params.stats_interval = Seconds(static_cast<double>(stats_interval));
   params.load_window = params.stats_interval;
-  params.selection.hit_threshold = 2;
+  params.hit_threshold = 2;
   if (status_interval > 0) {
     // Metric-history samples on the same cadence as the status line, so
     // the printed sparkline and GET /.dcws/history agree.
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
                 group[i]->address().ToString().c_str(),
                 (*host)->port());
   }
-  std::printf("try: curl http://127.0.0.1:%u%s  (and /~status)\n",
+  std::printf("try: curl http://127.0.0.1:%u%s  (and /.dcws/status)\n",
               network.Resolve(group[0]->address()),
               have_entry ? entry.c_str() : "/");
 
